@@ -15,12 +15,20 @@ aligned to the dyadic grid on that side, which preserves the factor-4
 length guarantee, so a single global factor 16 suffices.  (For gaps longer
 than ~12 the certificate can genuinely fail; the spectra this package
 produces have gaps far below 1.)
+
+One vectorized kernel handles every gap exactly, at any spectrum range,
+by working on fractional parts.  For a gap (a, b) with 1 <= a < b < 2^52
+and j = floor(a), fa = a - j is exact by Sterbenz's lemma (a/2 <= j <= a),
+and fb = b - j is exact because j is a multiple of ulp(b).  A gap inside
+one unit interval has fb <= 1 and a length of at least ulp(a); the levels
+k its search needs keep ldexp(fa, k) below 2^53, so floor(...) + 1 and the
+comparisons are exact.  A crossing gap needs only the binary exponents
+(frexp) of its end pieces 1 - fa and b - (ceil(b) - 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -28,12 +36,6 @@ import numpy as np
 from .construction import DistanceClass, nominal_diameter
 from .errors import AuditError, ConfigError
 from .spectrum import DistanceSpectrum, iter_windows
-
-# Vectorized witness search stays exact while a*2^(k+1) < 2^53; route gaps
-# below this length (or spectra beyond 2^14) through the exact slow path.
-_VEC_MIN_GAP = 2.0 ** -35
-_VEC_MAX_VALUE = 2.0 ** 14
-
 
 @dataclass(frozen=True)
 class CanonicalInterval:
@@ -112,74 +114,53 @@ class WitnessAudit:
     crossing_witness_sum_sq: float
 
 
-def _witness_open_noncrossing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized: length of the best canonical interval inside the open gap
-    (a_i, b_i), each gap within one unit interval.  Exact for gaps >=
-    _VEC_MIN_GAP and values < _VEC_MAX_VALUE."""
-    L = b - a
-    _, e = np.frexp(L)
-    k1 = np.maximum(1 - e.astype(np.int64), 0)
-    h = np.full(len(a), np.nan)
-    chosen = np.zeros(len(a), dtype=bool)
-    for step in (0, 1):
-        k = k1 + step
-        scale_lo = np.ldexp(a, k)
-        # strictly-inside left edge: first grid index with c*2^-k > a
-        c = np.floor(scale_lo) + 1.0
-        fits = (c + 1.0) <= np.ldexp(b, k)
-        take = fits & ~chosen
-        if take.any():
-            h[take] = np.ldexp(1.0, -k[take])
-            chosen |= fits
-        if chosen.all():
-            break
-    if not chosen.all():
-        raise AssertionError("witness level search failed to terminate")
-    return h
+def _check_inside(a: np.ndarray, b: np.ndarray, j: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise AuditError unless each witness [j + lo, j + hi) lies in its open
+    gap (a, b).  Compared relative to the integer j, where a - j and b - j
+    are exact; consecutive spectrum values bound each gap, so containment
+    is the emptiness proof."""
+    if np.any(lo <= a - j) or np.any(hi > b - j):
+        raise AuditError("non-empty witness interval (containment failed)")
 
 
-def _witness_pieces_exact(a: float, b: float) -> tuple[float, int]:
-    """Exact per-gap witness handling: split the open gap (a, b) at interior
-    integers; return (sum of squared witness lengths, 1 if crossing else 0).
+def _gap_witnesses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared witness sum and crossing flag of each open gap (a_i, b_i),
+    1 <= a_i < b_i, with j = floor(a_i).
 
-    Boundary-touching pieces take the aligned dyadic interval on that side
-    (length >= piece/2); interior unit pieces contribute length-1 witnesses;
-    a gap inside one unit interval falls back to the open-interval search.
-    All arithmetic is exact (Fraction on the float values).
+    A gap inside [j, j+1] takes the best canonical interval of the two-level
+    search.  A gap crossing integers takes the largest 2^-k strictly below
+    its left piece (a, j+1), ending at j+1; the unit cells from j+1 to
+    ceil(b)-1; and the largest 2^-k within its right piece
+    [ceil(b)-1, b), starting at ceil(b)-1.
     """
-    af, bf = Fraction(a), Fraction(b)
-    ia = math.floor(a) + 1
-    interior = list(range(ia, math.ceil(b))) if ia < b else []
-    interior = [t for t in interior if af < t < bf]
-    if not interior:
-        # single-unit-interval gap, exact open search
-        L = bf - af
-        k = 0
-        while Fraction(1, 1 << k) > L:
-            k += 1
-        for kk in (k, k + 1):
-            c = (af * (1 << kk)).__floor__() + 1
-            if Fraction(c + 1, 1 << kk) <= bf:
-                return float(Fraction(1, 1 << kk)) ** 2, 0
-        raise AssertionError("unreachable")
-    total = 0.0
-    # left piece (a, interior[0]): dyadic interval ending at the boundary
-    left_len = Fraction(interior[0]) - af
-    if left_len > 0:
-        k = 0
-        while Fraction(1, 1 << k) >= left_len:   # strict: witness start > a
-            k += 1
-        total += float(Fraction(1, 1 << k)) ** 2
-    # full unit pieces [t, t+1)
-    total += max(0, len(interior) - 1) * 1.0
-    # right piece [interior[-1], b): dyadic interval starting at the boundary
-    right_len = bf - Fraction(interior[-1])
-    if right_len > 0:
-        k = 0
-        while Fraction(1, 1 << k) > right_len:
-            k += 1
-        total += float(Fraction(1, 1 << k)) ** 2
-    return total, 1
+    j = np.floor(a)
+    cross = b - j > 1.0
+    wsq = np.empty(len(a))
+
+    # inside one unit interval: two-level search on the exact fractional parts
+    ai, bi, ji = a[~cross], b[~cross], j[~cross]
+    fa, fb = ai - ji, bi - ji
+    _, e = np.frexp(fb - fa)
+    k = np.maximum(1 - e, 0)                     # smallest k with 2^-k <= gap
+    k += np.floor(np.ldexp(fa, k)) + 2.0 > np.ldexp(fb, k)    # misses: k+1 fits
+    c = np.floor(np.ldexp(fa, k)) + 1.0          # first grid index above fa
+    _check_inside(ai, bi, ji, np.ldexp(c, -k), np.ldexp(c + 1.0, -k))
+    wsq[~cross] = np.ldexp(1.0, -2 * k)
+
+    # crossing integers: closed form from the end pieces' binary exponents
+    ac, bc, jc = a[cross], b[cross], j[cross]
+    m, e = np.frexp(1.0 - (ac - jc))
+    hl = np.ldexp(1.0, e - 1 - (m == 0.5))
+    top = np.ceil(bc - jc) - 1.0                 # right piece starts at j + top
+    _, e = np.frexp(bc - jc - top)
+    hr = np.ldexp(1.0, e - 1)
+    ones = np.ones(len(ac))
+    for lo, hi in ((1.0 - hl, ones), (ones, top), (top, top + hr)):
+        _check_inside(ac, bc, jc, lo, hi)
+    # left piece, unit cells, right piece: the Fraction oracle's order
+    wsq[cross] = (hl * hl + (top - 1.0)) + hr * hr
+    return wsq, cross
 
 
 def audit_gap_witnesses(spectrum: DistanceSpectrum, window: int = 1 << 24) -> WitnessAudit:
@@ -230,30 +211,12 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum, window: int = 1 << 24) -> Wi
         a, b, g = a[pos], b[pos], g[pos]
         positive += len(g)
         kadd(float(np.dot(g, g)), 0)
-
-        ints_inside = np.floor(a) + 1.0 < b          # integer strictly inside?
-        small = (g < _VEC_MIN_GAP) | (b >= _VEC_MAX_VALUE)
-        slow = ints_inside | small
-        fast = ~slow
-        if fast.any():
-            h = _witness_open_noncrossing(a[fast], b[fast])
-            # containment check doubles as the emptiness proof
-            kf = (-np.log2(h)).round().astype(np.int64)
-            c = np.floor(np.ldexp(a[fast], kf)) + 1.0
-            s_lo = np.ldexp(c, -kf)
-            s_hi = np.ldexp(c + 1.0, -kf)
-            bad = (s_lo <= a[fast]) | (s_hi > b[fast])
-            if bad.any():
-                raise AuditError("non-empty witness interval (containment failed)")
-            kadd(float(np.dot(h, h)), 1)
-        if slow.any():
-            for ai, bi in zip(a[slow], b[slow]):
-                wsq, crossed = _witness_pieces_exact(float(ai), float(bi))
-                kadd(wsq, 1)
-                crossing += crossed
-                if crossed:
-                    cross_gap_sq += float(bi - ai) ** 2
-                    cross_wit_sq += wsq
+        wsq, cross = _gap_witnesses(a, b)
+        kadd(float(wsq.sum()), 1)
+        gc = g[cross]
+        crossing += len(gc)
+        cross_gap_sq += float(np.dot(gc, gc))
+        cross_wit_sq += float(wsq[cross].sum())
 
     holds = gap_total <= 16.0 * wit_total
     return WitnessAudit(

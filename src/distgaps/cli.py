@@ -6,6 +6,7 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,12 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="gap-sum scaling fit over an n grid")
     p.add_argument("--grid", type=int, nargs="+")
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--base-seed", type=int, default=1)
+    p.add_argument("--seeds", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--base-seed", type=int)
     p.add_argument("--config", help="YAML config; flags override its values")
     p.add_argument("--out", help="write per-run CSV records here")
     _add_common_budget(p)
+    p.set_defaults(memory_budget=None)     # unset flags fall back to the config
 
     p = sub.add_parser("nobonds-verify", help="zero-bond bracket check on one configuration")
     p.add_argument("--region", required=True, help='tagged JSON, e.g. {"kind":"disk","radius":1}')
@@ -64,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonical-audit", help="witness audit of a binary spectrum dump")
     p.add_argument("--spectrum-file", required=True)
-    p.add_argument("--n", type=int, required=True,
-                   help="construction parameter (for the class partition)")
     return ap
 
 
@@ -103,18 +103,23 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg = harness.load_config(args.config) if args.config else harness.HarnessConfig()
-    grid = args.grid if args.grid else cfg.n_grid
+    flags = {
+        "n_grid": args.grid, "seeds_per_n": args.seeds, "epsilon": args.epsilon,
+        "base_seed": args.base_seed, "memory_budget_bytes": args.memory_budget,
+        "out_csv": args.out,
+    }
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     records: list[harness.RunRecord] = []
     fit = harness.run_scaling(
-        grid, args.seeds, args.epsilon,
-        base_seed=args.base_seed,
-        memory_budget_bytes=args.memory_budget,
+        cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,
+        base_seed=cfg.base_seed,
+        memory_budget_bytes=cfg.memory_budget_bytes,
         threads=args.threads,
         records_out=records,
     )
-    if args.out:
-        harness.write_records_csv(records, args.out)
-    print(json.dumps({
+    if cfg.out_csv:
+        harness.write_records_csv(records, cfg.out_csv)
+    result = json.dumps({
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
@@ -122,7 +127,11 @@ def _cmd_scaling(args) -> int:
         "slope_discrepancy_flag": fit.slope_discrepancy_flag,
         "n_grid": fit.n_grid,
         "seeds_per_n": fit.seeds_per_n,
-    }))
+    })
+    if cfg.out_json:
+        with open(cfg.out_json, "w") as fh:
+            fh.write(result + "\n")
+    print(result)
     return 0
 
 
@@ -174,7 +183,6 @@ def _cmd_canonical_audit(args) -> int:
     spec = spectrum_mod.read_spectrum(args.spectrum_file)
     audit = canonical.audit_gap_witnesses(spec)
     print(json.dumps({
-        "n": args.n,
         "gap_sum_sq": audit.gap_sum_sq,
         "witness_sum_sq": audit.witness_sum_sq,
         "holds": audit.holds,

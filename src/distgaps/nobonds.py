@@ -273,7 +273,7 @@ def count_bonds(points: np.ndarray, bond: BondSpec) -> int:
 def empirical_no_bond_prob(
     region: Region, epsilon: float, bond: BondSpec, trials: int, seed
 ) -> tuple[float, float]:
-    """Fraction of Poisson samples containing no bond, with a Wilson 99% CI
+    """Share of Poisson samples containing no bond, with a Wilson 99% CI
     halfwidth."""
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")

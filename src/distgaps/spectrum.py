@@ -323,11 +323,15 @@ def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
 
 
 def read_spectrum(path: str, point_count: int | None = None) -> DistanceSpectrum:
+    """Map a dump read-only, so reading it holds no copy of the values."""
+    size = os.path.getsize(path)
+    if size < 8:
+        raise ConfigError(f"spectrum file {path}: no count header")
     with open(path, "rb") as fh:
         count = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-    values = np.fromfile(path, dtype="<f8", offset=8)
-    if len(values) != count:
-        raise ConfigError(f"spectrum file {path}: header says {count}, found {len(values)}")
+    if size - 8 != 8 * count:
+        raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
+    values = np.memmap(path, dtype="<f8", mode="r", offset=8, shape=(count,))
     if point_count is None:
         # invert m = N(N-1)/2 when it is a triangular number, else mark unknown
         root = int((1 + math.isqrt(1 + 8 * count)) // 2)

@@ -383,10 +383,16 @@ def test_criterion_11_deletion_rate():
 
 
 def test_supplementary_realized_count_stability(grid_run):
-    # count/n within a factor 2 across the grid (fixed density)
+    # The Poisson parts (rect + lobes) sample at fixed density, so their
+    # count/n stays within a factor 2 across the grid.  The circle part's
+    # ~n^(4/7) points are left out: they make N/n fall by about half.
     _, records, _ = grid_run
-    ratios = [rec.realized_points / rec.n_param for rec in records]
+    ratios = []
+    for rec in records:
+        con = assemble(rec.n_param, rec.epsilon, Seed(rec.seed))
+        assert con.realized_points == rec.realized_points
+        ratios.append((len(con.part("rect")) + len(con.part("lobes"))) / rec.n_param)
     spread = max(ratios) / min(ratios)
-    report(0, "supplementary: realized count/n stability", spread <= 2.0,
+    report(0, "supplementary: Poisson-part count/n stability", spread <= 2.0,
            f"spread factor {spread:.3f}")
     assert spread <= 2.0

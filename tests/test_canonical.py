@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import distgaps.canonical as canon
 from distgaps.canonical import (
     CanonicalInterval,
     audit_gap_witnesses,
@@ -223,25 +224,120 @@ def test_audit_reports_honest_failure_beyond_domain():
 
 
 def test_audit_witnesses_disjoint(rng_session, monkeypatch):
-    # collect the fast-path witnesses explicitly and check pairwise disjointness
-    import distgaps.canonical as canon
-
+    # every witness the containment check sees, crossing pieces and unit-cell
+    # runs included, is canonical, lies inside its gap and overlaps no other
     collected = []
-    orig = canon._witness_open_noncrossing
+    orig = canon._check_inside
 
-    def wrapper(a, b):
-        h = orig(a, b)
-        k = (-np.log2(h)).round().astype(np.int64)
-        c = np.floor(np.ldexp(a, k)) + 1.0
-        collected.extend(zip(np.ldexp(c, -k), np.ldexp(c + 1.0, -k)))
-        return h
+    def record(a, b, j, lo, hi):
+        orig(a, b, j, lo, hi)
+        for ai, bi, ji, l, h in zip(a, b, j, lo, hi):
+            if l < h:        # a crossing gap may have no whole unit cell
+                collected.append((Fraction(ji) + Fraction(l), Fraction(ji) + Fraction(h),
+                                  Fraction(ai), Fraction(bi)))
 
-    monkeypatch.setattr(canon, "_witness_open_noncrossing", wrapper)
-    vals = np.sort(rng_session.uniform(1.0, 25.0, 4000))
-    audit_gap_witnesses(spectrum_of(vals))
+    monkeypatch.setattr(canon, "_check_inside", record)
+    vals = np.sort(np.concatenate([
+        rng_session.uniform(1.0, 25.0, 4000),
+        np.arange(26.0, 60.0, 2.5),      # gaps crossing 2-3 integers, integer ends
+        [60.0 + 2.0**-40, 61.0 - 2.0**-30],
+    ]))
+    audit = audit_gap_witnesses(spectrum_of(vals))
+    assert audit.crossing_count >= 14
+    assert len(collected) >= audit.positive_gap_count + audit.crossing_count
     collected.sort()
-    for (a1, b1), (a2, b2) in zip(collected, collected[1:]):
-        assert b1 <= a2
+    for lo, hi, a, b in collected:
+        assert a < lo < hi <= b
+        length = hi - lo
+        if length <= 1:
+            assert length.numerator == 1 and length.denominator & (length.denominator - 1) == 0
+            assert (lo / length).denominator == 1
+        else:
+            assert length.denominator == 1 and lo.denominator == 1
+    for (_, h1, _, _), (l2, _, _, _) in zip(collected, collected[1:]):
+        assert h1 <= l2
+
+
+# Reference for the witness kernel: exact per-gap arithmetic on Fractions.
+def _witness_pieces_exact(a: float, b: float) -> tuple[float, int]:
+    """Exact per-gap witness handling: split the open gap (a, b) at interior
+    integers; return (sum of squared witness lengths, 1 if crossing else 0).
+
+    Boundary-touching pieces take the aligned dyadic interval on that side
+    (length >= piece/2); interior unit pieces contribute length-1 witnesses;
+    a gap inside one unit interval falls back to the open-interval search.
+    All arithmetic is exact (Fraction on the float values).
+    """
+    af, bf = Fraction(a), Fraction(b)
+    ia = math.floor(a) + 1
+    interior = list(range(ia, math.ceil(b))) if ia < b else []
+    interior = [t for t in interior if af < t < bf]
+    if not interior:
+        # single-unit-interval gap, exact open search
+        L = bf - af
+        k = 0
+        while Fraction(1, 1 << k) > L:
+            k += 1
+        for kk in (k, k + 1):
+            c = (af * (1 << kk)).__floor__() + 1
+            if Fraction(c + 1, 1 << kk) <= bf:
+                return float(Fraction(1, 1 << kk)) ** 2, 0
+        raise AssertionError("unreachable")
+    total = 0.0
+    # left piece (a, interior[0]): dyadic interval ending at the boundary
+    left_len = Fraction(interior[0]) - af
+    if left_len > 0:
+        k = 0
+        while Fraction(1, 1 << k) >= left_len:   # strict: witness start > a
+            k += 1
+        total += float(Fraction(1, 1 << k)) ** 2
+    # full unit pieces [t, t+1)
+    total += max(0, len(interior) - 1) * 1.0
+    # right piece [interior[-1], b): dyadic interval starting at the boundary
+    right_len = bf - Fraction(interior[-1])
+    if right_len > 0:
+        k = 0
+        while Fraction(1, 1 << k) > right_len:
+            k += 1
+        total += float(Fraction(1, 1 << k)) ** 2
+    return total, 1
+
+
+def _gap(a: float, b: float) -> tuple[float, float]:
+    return a, max(b, math.nextafter(a, math.inf))
+
+
+def _ulps_above(a: float, count: int) -> float:
+    for _ in range(count):
+        a = math.nextafter(a, math.inf)
+    return a
+
+
+_BASE = st.floats(min_value=1.0, max_value=2.0**20)
+_FRAC = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+_GAPS = st.one_of(
+    # 1-40 ulps
+    st.builds(lambda a, c: (a, _ulps_above(a, c)), _BASE, st.integers(1, 40)),
+    # starting or ending on an integer
+    st.builds(lambda j, f: _gap(float(j), j + f), st.integers(1, 2**20), _FRAC),
+    st.builds(lambda j, f: _gap(j - f, float(j)), st.integers(2, 2**20), _FRAC),
+    # crossing one or several integers
+    st.builds(lambda j, fa, t, fb: _gap(j + fa, j + t + fb),
+              st.integers(1, 2**20), _FRAC, st.integers(1, 40), _FRAC),
+    # lengths 2^-1 .. 2^-49
+    st.builds(lambda a, p: _gap(a, a + 2.0**-p), _BASE, st.integers(1, 49)),
+)
+
+
+@given(st.lists(_GAPS, min_size=1, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_gap_witnesses_match_fraction_oracle(gaps):
+    a = np.array([g[0] for g in gaps])
+    b = np.array([g[1] for g in gaps])
+    wsq, cross = canon._gap_witnesses(a, b)
+    want = [_witness_pieces_exact(x, y) for x, y in gaps]
+    assert wsq.tolist() == [w for w, _ in want]
+    assert cross.tolist() == [c == 1 for _, c in want]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_canonical_audit_command(tmp_path, capsys):
     capsys.readouterr()
     main(["spectrum", "--points-file", str(pts_path), "--dump", str(dump)])
     capsys.readouterr()
-    rc = main(["canonical-audit", "--spectrum-file", str(dump), "--n", "20000"])
+    rc = main(["canonical-audit", "--spectrum-file", str(dump)])
     out = json.loads(capsys.readouterr().out.strip())
     assert rc == 0
     assert out["holds"] is True
@@ -90,7 +90,7 @@ def test_audit_failure_exit_code(tmp_path, capsys):
 
     dump = tmp_path / "bad.bin"
     write_spectrum(DistanceSpectrum(np.array([1.5, 17.5]), 2), str(dump))
-    rc = main(["canonical-audit", "--spectrum-file", str(dump), "--n", "10000"])
+    rc = main(["canonical-audit", "--spectrum-file", str(dump)])
     out = json.loads(capsys.readouterr().out.strip())
     assert rc == 1
     assert out["holds"] is False
@@ -106,3 +106,33 @@ def test_scaling_command_small(tmp_path, capsys):
     assert rc == 0
     assert "slope" in data and "r_squared" in data
     assert len(out_csv.read_text().splitlines()) == 13  # header + 12 runs
+
+
+def test_scaling_config_precedence(tmp_path, capsys):
+    # a flag beats the YAML value, which beats the HarnessConfig default
+    out_csv, out_json = tmp_path / "runs.csv", tmp_path / "fit.json"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "n_grid: [10000, 20000, 40000, 80000]\n"
+        "seeds_per_n: 4\n"
+        "epsilon: 0.002\n"
+        "base_seed: 7\n"
+        "memory_budget_bytes: 1024\n"
+        f"out_csv: {out_csv}\n"
+        f"out_json: {out_json}\n"
+    )
+    # the YAML budget is below the 4 MiB floor, so it must be the one in force
+    assert main(["scaling", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+    rc = main(["scaling", "--config", str(cfg), "--seeds", "3",
+               "--memory-budget", str(64 << 20)])
+    printed = json.loads(capsys.readouterr().out.strip())
+    assert rc == 0
+    assert json.loads(out_json.read_text()) == printed
+    assert printed["n_grid"] == [10000, 20000, 40000, 80000]
+    assert printed["seeds_per_n"] == 3
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    assert {float(r[1]) for r in rows} == {0.002}
+    assert {int(r[2]) for r in rows} == {7, 8, 9}

@@ -153,3 +153,13 @@ def test_dump_roundtrip(tmp_path, rng_session):
     # header: little-endian uint64 count
     raw = path.read_bytes()
     assert int.from_bytes(raw[:8], "little") == sp.m
+
+
+def test_truncated_dump_is_config_error(tmp_path):
+    path = tmp_path / "spec.bin"
+    write_spectrum(DistanceSpectrum(np.array([1.0, 1.5, 2.0]), 3), str(path))
+    raw = path.read_bytes()
+    for cut in (len(raw) - 8, len(raw) - 3, 5):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigError):
+            read_spectrum(str(path))
