@@ -11,6 +11,7 @@ import sys
 
 from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.nobonds import (
+    CRITERION_08_CONFIGS,
     BondSpec,
     check_nobonds,
     empirical_no_bond_prob,
@@ -20,20 +21,6 @@ from distgaps.nobonds import (
     random_janson_instance,
 )
 from distgaps.poisson import Seed
-from distgaps.regions import Disk, Rectangle
-
-CONFIGS = [
-    (Rectangle(0.5, 0.5), 2.0, 0.40, 0.45),
-    (Rectangle(0.5, 0.5), 2.0, 0.30, 0.40),
-    (Rectangle(0.5, 0.5), 2.0, 0.20, 0.45),
-    (Rectangle(0.5, 0.5), 5.0, 0.10, 0.15),
-    (Rectangle(0.5, 0.5), 5.0, 0.05, 0.15),
-    (Rectangle(0.5, 0.5), 10.0, 0.02, 0.07),
-    (Disk(0.5), 5.0, 0.30, 0.40),
-    (Disk(0.5), 10.0, 0.70, 0.95),
-    (Disk(0.5), 2.0, 0.10, 0.35),
-    (Disk(0.5), 10.0, 0.85, 0.90),
-]
 
 
 def main() -> int:
@@ -59,7 +46,7 @@ def main() -> int:
     print("\n== zero-bond bracket: e^-mu <= P[B=0] <= e^(-mu+nu) ==")
     print(f"{'region':>10} {'lam':>5} {'bond':>14} {'mu':>8} {'nu':>8} "
           f"{'p_hat':>8} {'lower':>8} {'upper':>8} {'pass':>5}")
-    for i, (region, lam, lo, hi) in enumerate(CONFIGS):
+    for i, (region, lam, lo, hi) in enumerate(CRITERION_08_CONFIGS):
         bond = BondSpec(lo, hi)
         est = estimate_mu_nu(region, lam, bond, args.samples, Seed(100 + i))
         p_hat, ci = empirical_no_bond_prob(region, lam, bond, args.trials, Seed(200 + i))

@@ -20,7 +20,6 @@ from .regions import region_from_dict
 def _add_common_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memory-budget", type=int, default=spectrum_mod.DEFAULT_MEMORY_BUDGET,
                    help="spectrum memory budget in bytes")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,21 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    con = construction.assemble(args.n, args.epsilon, Seed(args.seed))
-    rec = harness.record_from_construction(
-        con, memory_budget_bytes=args.memory_budget, threads=args.threads
+    cfg = harness.HarnessConfig(
+        n_grid=[args.n], seeds_per_n=1, epsilon=args.epsilon, base_seed=args.seed,
+        memory_budget_bytes=args.memory_budget,
     )
+    con = construction.assemble(args.n, args.epsilon, Seed(args.seed))
+    rec = harness.record_from_construction(con, memory_budget_bytes=args.memory_budget)
     if args.out:
         construction.export_points(con, args.out)
-    print(harness.record_to_json(rec))
+    print(harness.record_to_json(rec, cfg))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     pts, _, meta = construction.load_points(args.points_file)
-    spec = spectrum_mod.all_pair_distances(
-        pts, memory_budget_bytes=args.memory_budget, threads=args.threads
-    )
+    spec = spectrum_mod.all_pair_distances(pts, memory_budget_bytes=args.memory_budget)
     gs = spectrum_mod.gap_stats(spec)
     header = "points,m,d_min,d_max,gap_sum_sq,max_gap"
     line = (f"{len(pts)},{spec.m},{spec.d_min!r},{spec.d_max!r},"
@@ -114,7 +113,6 @@ def _cmd_scaling(args) -> int:
         cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,
         base_seed=cfg.base_seed,
         memory_budget_bytes=cfg.memory_budget_bytes,
-        threads=args.threads,
         records_out=records,
     )
     if cfg.out_csv:

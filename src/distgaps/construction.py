@@ -302,7 +302,7 @@ def load_points(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     xs: list[list[float]] = []
     codes: list[int] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -312,7 +312,13 @@ def load_points(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
                         k, v = tok.split("=", 1)
                         meta[k] = v
                 continue
-            sx, sy, name = line.split()
-            xs.append([float(sx), float(sy)])
-            codes.append(PART_CODES[name])
+            try:
+                sx, sy, name = line.split()
+                xy, code = [float(sx), float(sy)], PART_CODES[name]
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"{path}:{lineno}: expected 'x y part', got {line!r}") from exc
+            if not all(map(math.isfinite, xy)):
+                raise ConfigError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+            xs.append(xy)
+            codes.append(code)
     return np.asarray(xs), np.asarray(codes, dtype=np.int8), meta

@@ -114,15 +114,12 @@ def record_from_construction(
     con: Construction,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    threads: int = 1,
     started_at: float | None = None,
 ) -> RunRecord:
     """Spectrum, gap statistics, witness audit, and validation for one
     assembled construction."""
     t0 = time.perf_counter() if started_at is None else started_at
-    spec = all_pair_distances(
-        con.points, memory_budget_bytes=memory_budget_bytes, threads=threads
-    )
+    spec = all_pair_distances(con.points, memory_budget_bytes=memory_budget_bytes)
     window = _consumer_window(memory_budget_bytes)
     try:
         gs = gap_stats(spec, window)
@@ -157,14 +154,11 @@ def run_construct(
     seed,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    threads: int = 1,
 ) -> RunRecord:
     """Assemble, measure, audit, and validate one construction."""
     t0 = time.perf_counter()
     con = assemble(n, epsilon, as_seed(seed))
-    return record_from_construction(
-        con, memory_budget_bytes=memory_budget_bytes, threads=threads, started_at=t0
-    )
+    return record_from_construction(con, memory_budget_bytes=memory_budget_bytes, started_at=t0)
 
 
 def fit_exponent(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -192,7 +186,6 @@ def run_scaling(
     *,
     base_seed: int = 1,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    threads: int = 1,
     records_out: list[RunRecord] | None = None,
 ) -> ScalingFit:
     """Average gap sums per n over seeds and fit the log-log slope.
@@ -218,8 +211,7 @@ def run_scaling(
         realized = []
         for s in range(seeds_per_n):
             rec = run_construct(
-                n, epsilon, Seed(base_seed + s),
-                memory_budget_bytes=memory_budget_bytes, threads=threads,
+                n, epsilon, Seed(base_seed + s), memory_budget_bytes=memory_budget_bytes
             )
             if records_out is not None:
                 records_out.append(rec)

@@ -288,6 +288,22 @@ def empirical_no_bond_prob(
     return p_hat, max(p_hat - lo, hi - p_hat)
 
 
+# Acceptance criterion 08: (region, density, bond lo, bond hi), covering
+# both regions, the densities {2, 5, 10} and the bond widths {0.05, 0.1, 0.25}
+CRITERION_08_CONFIGS: tuple[tuple[Region, float, float, float], ...] = (
+    (regions.Rectangle(0.5, 0.5), 2.0, 0.40, 0.45),
+    (regions.Rectangle(0.5, 0.5), 2.0, 0.30, 0.40),
+    (regions.Rectangle(0.5, 0.5), 2.0, 0.20, 0.45),
+    (regions.Rectangle(0.5, 0.5), 5.0, 0.10, 0.15),
+    (regions.Rectangle(0.5, 0.5), 5.0, 0.05, 0.15),
+    (regions.Rectangle(0.5, 0.5), 10.0, 0.02, 0.07),
+    (regions.Disk(0.5), 5.0, 0.30, 0.40),
+    (regions.Disk(0.5), 10.0, 0.70, 0.95),
+    (regions.Disk(0.5), 2.0, 0.10, 0.35),
+    (regions.Disk(0.5), 10.0, 0.85, 0.90),
+)
+
+
 def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
     p = successes / trials
     denom = 1.0 + z * z / trials

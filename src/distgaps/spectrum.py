@@ -1,17 +1,21 @@
 """Exact sorted all-pairs distance spectra and gap statistics.
 
-Two engines behind one entry point, chosen by the memory budget:
+One engine.  Let ``cap`` be the number of float64 values that fit in three
+quarters of the memory budget.  When all ``m = N(N-1)/2`` distances fit,
+they are filled in row blocks into one array and sorted in place.
+Otherwise one histogram pass over the row blocks splits them into
+consecutive value ranges ``[lo, hi)`` of at most ``cap`` distances, and
+each range takes one pass: recompute the blocks, copy the distances in the
+range into a chunk sized from the histogram, sort it and append it to one
+temporary file (8 bytes per distance), which backs a read-only memmap.
 
-* packed: all ``m = N(N-1)/2`` distances go into one preallocated array,
-  filled in row blocks (optionally across threads, each block writing a
-  disjoint slice) and sorted in place.
-* external: row blocks are sorted individually and spilled to temporary
-  files, then k-way merged in bounded chunks; the merged result backs a
-  read-only memmap, so peak resident memory stays within the budget.
-
-Both produce bit-identical sorted values: a distance is a symmetric
-function of its two endpoints, so neither input order, block boundaries,
-nor thread count can change the multiset.
+Histogram bins are prefixes of the float64 bit patterns, which order like
+the values for non-negative floats, so bin ends are floats and a pass
+selects with the comparisons its range was counted with.  A bin over
+``cap`` is counted again on its own bits, down to one float value, which
+is written without a pass.  A distance is a symmetric function of its two
+endpoints, so the sorted values depend on neither input order nor blocks
+nor ranges.
 
 Gap statistics accumulate across fixed-size windows with compensated
 (Kahan) summation: the gap-sum objective is a second-order statistic of
@@ -24,7 +28,6 @@ import math
 import os
 import tempfile
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,6 +38,8 @@ from .errors import ConfigError, SpectrumSizeError
 DEFAULT_MEMORY_BUDGET = 1 << 30          # 1 GiB
 DEFAULT_HARD_CAP = 2_000_000_000
 _WINDOW = 1 << 24                        # elements per consumer window
+_BIN_BITS = 16                           # one histogram pass counts up to 2**16 bins
+_INF_BITS = 0x7FF0_0000_0000_0000        # bit pattern of +inf
 
 
 @dataclass
@@ -84,12 +89,6 @@ def _row_prefix(n: int, i: int) -> int:
     return i * (n - 1) - (i * (i - 1)) // 2
 
 
-def _fill_rows(out: np.ndarray, x: np.ndarray, y: np.ndarray, i0: int, i1: int) -> None:
-    n = len(x)
-    start, stop = _row_prefix(n, i0), _row_prefix(n, i1)
-    _fill_rows_into(out[start:stop], x, y, i0, i1)
-
-
 def _row_blocks(n: int, rows_per_block: int) -> Iterator[tuple[int, int]]:
     for i0 in range(0, n - 1, rows_per_block):
         yield i0, min(i0 + rows_per_block, n - 1)
@@ -100,13 +99,12 @@ def all_pair_distances(
     *,
     memory_budget_bytes: int | None = None,
     hard_cap: int = DEFAULT_HARD_CAP,
-    threads: int = 1,
-    tmp_dir: str | None = None,
 ) -> DistanceSpectrum:
     """Full sorted spectrum of Euclidean pair distances.
 
-    The result is independent of input order and thread count.  Raises
-    SpectrumSizeError when the pair count exceeds the hard cap.
+    The result is independent of input order and of the budget.  Raises
+    ConfigError on non-finite coordinates and SpectrumSizeError when the
+    pair count exceeds the hard cap.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -114,6 +112,12 @@ def all_pair_distances(
     n = len(pts)
     if n < 2:
         raise ConfigError("need at least two points")
+    # every dx*dx + dy*dy is at most the squared bounding-box diagonal, which
+    # is finite unless a coordinate is not finite or a distance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        top_sq = float(np.square(pts.max(axis=0) - pts.min(axis=0)).sum())
+    if not math.isfinite(top_sq):
+        raise ConfigError("point coordinates must be finite and span less than 1e154")
     m = n * (n - 1) // 2
     if m > hard_cap:
         raise SpectrumSizeError(f"{m} pairs exceed the hard cap {hard_cap}")
@@ -124,68 +128,39 @@ def all_pair_distances(
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1])
     rows_per_block = max(1, (budget // 16) // max(n, 1) // 8)
+    cap = int(0.75 * budget) // 8
 
-    if m * 8 <= 0.75 * budget:
+    if m <= cap:
         out = np.empty(m)
-        blocks = list(_row_blocks(n, rows_per_block))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda b: _fill_rows(out, x, y, *b), blocks))
-        else:
-            for b in blocks:
-                _fill_rows(out, x, y, *b)
+        for i0, i1 in _row_blocks(n, rows_per_block):
+            _fill_rows_into(out[_row_prefix(n, i0):_row_prefix(n, i1)], x, y, i0, i1)
         out.sort()
         return DistanceSpectrum(out, n)
 
-    return _external_spectrum(x, y, m, budget, rows_per_block, tmp_dir)
-
-
-def _external_spectrum(
-    x: np.ndarray, y: np.ndarray, m: int, budget: int,
-    rows_per_block: int, tmp_dir: str | None,
-) -> DistanceSpectrum:
-    n = len(x)
-    run_elems = max(budget // (8 * 4), 1 << 20)
-    tmp_dir = tmp_dir or tempfile.gettempdir()
-    run_paths: list[str] = []
-    buf: list[np.ndarray] = []
-    buffered = 0
-
-    def flush() -> None:
-        nonlocal buf, buffered
-        if not buffered:
-            return
-        run = np.concatenate(buf)
-        run.sort()
-        fd, path = tempfile.mkstemp(suffix=".run", dir=tmp_dir)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(run.astype("<f8", copy=False).tobytes())
-        run_paths.append(path)
-        buf, buffered = [], 0
-
+    bins = _bins(x, y, rows_per_block, cap, 0, 63)     # 0 << 63: every distance
+    fd, path = tempfile.mkstemp(suffix=".spectrum")
     try:
-        for i0, i1 in _row_blocks(n, rows_per_block):
-            start, stop = _row_prefix(n, i0), _row_prefix(n, i1)
-            block = np.empty(stop - start)
-            _fill_rows_into(block, x, y, i0, i1)
-            buf.append(block)
-            buffered += len(block)
-            if buffered >= run_elems:
-                flush()
-        flush()
-
-        out_fd, out_path = tempfile.mkstemp(suffix=".spectrum", dir=tmp_dir)
-        chunk = max(run_elems // max(len(run_paths), 1), 1 << 16)
-        with os.fdopen(out_fd, "wb") as out_fh:
-            for piece in _merge_runs(run_paths, chunk):
-                out_fh.write(piece.astype("<f8", copy=False).tobytes())
-    finally:
-        for p in run_paths:
-            _remove_quiet(p)
-
-    values = np.memmap(out_path, dtype="<f8", mode="r")
-    assert len(values) == m
-    return DistanceSpectrum(values, n, _backing=out_path)
+        with os.fdopen(fd, "wb") as fh:
+            for lo, hi, count in _merge_bins(bins, cap):
+                if hi == np.nextafter(lo, math.inf):
+                    # one float value: nothing to recompute or sort
+                    for start in range(0, count, cap):
+                        np.full(min(cap, count - start), lo).tofile(fh)
+                    continue
+                chunk = np.empty(count)
+                pos = 0
+                for block in _blocks(x, y, rows_per_block):
+                    part = _select(block, lo, hi)
+                    chunk[pos:pos + len(part)] = part
+                    pos += len(part)
+                assert pos == count
+                chunk.sort()
+                chunk.tofile(fh)
+        values = np.memmap(path, dtype=np.float64, mode="r")
+    except BaseException:
+        _remove_quiet(path)
+        raise
+    return DistanceSpectrum(values, n, _backing=path)
 
 
 def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
@@ -199,56 +174,68 @@ def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
         pos += cnt
 
 
-class _Run:
-    def __init__(self, path: str, chunk: int):
-        self.fh = open(path, "rb")
-        self.chunk = chunk
-        self.buf = np.empty(0)
-        self.exhausted = False
-        self._load()
-
-    def _load(self) -> None:
-        raw = self.fh.read(self.chunk * 8)
-        if not raw:
-            self.exhausted = True
-            self.fh.close()
-            return
-        arr = np.frombuffer(raw, dtype="<f8")
-        self.buf = arr if not len(self.buf) else np.concatenate([self.buf, arr])
-
-    def take_upto(self, horizon: float) -> np.ndarray:
-        idx = np.searchsorted(self.buf, horizon, side="right")
-        out, self.buf = self.buf[:idx], self.buf[idx:]
-        return out
-
-    def refill_if_low(self) -> None:
-        while not self.exhausted and len(self.buf) < self.chunk:
-            self._load()
+def _blocks(x: np.ndarray, y: np.ndarray, rows_per_block: int) -> Iterator[np.ndarray]:
+    """Every pair distance, one row block at a time, in one reused buffer."""
+    n = len(x)
+    buf = np.empty(_row_prefix(n, min(rows_per_block, n - 1)))
+    for i0, i1 in _row_blocks(n, rows_per_block):
+        block = buf[:_row_prefix(n, i1) - _row_prefix(n, i0)]
+        _fill_rows_into(block, x, y, i0, i1)
+        yield block
 
 
-def _merge_runs(paths: list[str], chunk: int) -> Iterator[np.ndarray]:
-    """Chunked k-way merge of sorted float64 run files.
+def _as_float(bits: int) -> float:
+    return float(np.int64(min(bits, _INF_BITS)).view(np.float64))
 
-    Every element <= the smallest per-run buffer maximum is already
-    buffered, so concatenating those prefixes and sorting them emits a
-    globally correct sorted piece.
+
+def _select(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The values v of block with lo <= v < hi."""
+    if lo == 0.0 and hi == math.inf:
+        return block
+    keep = block >= lo
+    keep &= block < hi
+    return block[keep]
+
+
+def _bins(
+    x: np.ndarray, y: np.ndarray, rows_per_block: int, cap: int, prefix: int, shift: int,
+) -> list[tuple[float, float, int]]:
+    """Non-empty bins ``(lo, hi, count)``, ascending, of the distances whose
+    bit patterns start with ``prefix``, i.e. lie in
+    ``[prefix << shift, (prefix + 1) << shift)``.
+
+    One pass counts up to 2**16 sub-bins; a sub-bin over ``cap`` is counted
+    again on its own bits, so every bin holds at most ``cap`` distances or
+    is one float value wide.
     """
-    runs = [_Run(p, chunk) for p in paths]
-    runs = [r for r in runs if len(r.buf) or not r.exhausted]
-    while runs:
-        live = [r for r in runs if not r.exhausted]
-        if live:
-            horizon = min(r.buf[-1] for r in live if len(r.buf))
+    sub = max(shift - _BIN_BITS, 0)
+    lo, hi = _as_float(prefix << shift), _as_float((prefix + 1) << shift)
+    first = prefix << (shift - sub)
+    counts = np.zeros(1 << (shift - sub), dtype=np.int64)
+    for block in _blocks(x, y, rows_per_block):
+        idx = _select(block, lo, hi).view(np.int64) >> sub
+        idx -= first
+        counts += np.bincount(idx, minlength=len(counts))
+    out: list[tuple[float, float, int]] = []
+    for j in np.flatnonzero(counts):
+        bin_prefix, count = first + int(j), int(counts[j])
+        if count > cap and sub:
+            out += _bins(x, y, rows_per_block, cap, bin_prefix, sub)
         else:
-            horizon = math.inf
-        pieces = [r.take_upto(horizon) for r in runs]
-        piece = np.concatenate([p for p in pieces if len(p)]) if pieces else np.empty(0)
-        if len(piece):
-            piece.sort()
-            yield piece
-        for r in runs:
-            r.refill_if_low()
-        runs = [r for r in runs if len(r.buf) or not r.exhausted]
+            out.append((_as_float(bin_prefix << sub), _as_float((bin_prefix + 1) << sub), count))
+    return out
+
+
+def _merge_bins(bins: list[tuple[float, float, int]], cap: int) -> list[tuple[float, float, int]]:
+    """Join consecutive bins into ranges of at most ``cap`` distances; a
+    range spans the empty gaps between its bins."""
+    ranges: list[tuple[float, float, int]] = []
+    for lo, hi, count in bins:
+        if ranges and ranges[-1][2] + count <= cap:
+            ranges[-1] = (ranges[-1][0], hi, ranges[-1][2] + count)
+        else:
+            ranges.append((lo, hi, count))
+    return ranges
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from distgaps.construction import (
 )
 from distgaps.harness import fit_exponent, run_scaling
 from distgaps.nobonds import (
+    CRITERION_08_CONFIGS,
     BondSpec,
     check_nobonds,
     empirical_no_bond_prob,
@@ -51,7 +52,6 @@ from distgaps.nobonds import (
     random_janson_instance,
 )
 from distgaps.poisson import Seed
-from distgaps.regions import Disk, Rectangle
 from distgaps.spectrum import DistanceSpectrum, equal_spacing_lower_bound
 
 GRID = [100_000, 300_000, 1_000_000, 3_000_000]
@@ -275,26 +275,10 @@ def test_supplementary_janson_ordered_pair_exponent():
     assert failures == 0
 
 
-NOBOND_CONFIGS = [
-    # (region, density, lo, hi) covering both regions, all densities {2,5,10}
-    # and all widths {0.05, 0.1, 0.25}
-    (Rectangle(0.5, 0.5), 2.0, 0.40, 0.45),
-    (Rectangle(0.5, 0.5), 2.0, 0.30, 0.40),
-    (Rectangle(0.5, 0.5), 2.0, 0.20, 0.45),
-    (Rectangle(0.5, 0.5), 5.0, 0.10, 0.15),
-    (Rectangle(0.5, 0.5), 5.0, 0.05, 0.15),
-    (Rectangle(0.5, 0.5), 10.0, 0.02, 0.07),
-    (Disk(0.5), 5.0, 0.30, 0.40),
-    (Disk(0.5), 10.0, 0.70, 0.95),
-    (Disk(0.5), 2.0, 0.10, 0.35),
-    (Disk(0.5), 10.0, 0.85, 0.90),
-]
-
-
 def test_criterion_08_no_bonds_bracket():
     t0 = time.perf_counter()
     results = []
-    for i, (region, lam, lo, hi) in enumerate(NOBOND_CONFIGS):
+    for i, (region, lam, lo, hi) in enumerate(CRITERION_08_CONFIGS):
         bond = BondSpec(lo, hi)
         est = estimate_mu_nu(region, lam, bond, 1_000_000, Seed(100 + i))
         p_hat, ci = empirical_no_bond_prob(region, lam, bond, 10_000, Seed(200 + i))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from distgaps import construction
 from distgaps.cli import main
 from distgaps.poisson import Seed
@@ -73,6 +75,37 @@ def test_bad_region_json_is_config_error(capsys):
         "--density", "1.0", "--bond-lo", "0.1", "--bond-hi", "0.2",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("bad_line", [
+    "nan 0.5 rect", "1.0 inf circle", "1.0 2.0", "1.0 2.0 hexagon", "one 2.0 rect",
+])
+def test_bad_point_file_is_config_error(tmp_path, capsys, bad_line):
+    pts_path = tmp_path / "pts.txt"
+    pts_path.write_text(f"# n=1\n0.0 0.0 rect\n{bad_line}\n3.0 0.0 rect\n")
+    assert main(["spectrum", "--points-file", str(pts_path)]) == 2
+    assert f"{pts_path}:3:" in capsys.readouterr().err
+
+
+def test_budget_floor(tmp_path, capsys):
+    pts_path = tmp_path / "pts.txt"
+    pts_path.write_text("0.0 0.0 rect\n3.0 0.0 rect\n0.0 4.0 circle\n")
+    floor = 1 << 22
+    assert main(["spectrum", "--points-file", str(pts_path),
+                 "--memory-budget", str(floor - 1)]) == 2
+    assert main(["spectrum", "--points-file", str(pts_path),
+                 "--memory-budget", str(floor)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("3,3,3.0,5.0,")
+
+
+def test_construct_config_hash_follows_settings(capsys):
+    def config_hash(*flags):
+        assert main(["construct", "--n", "20000", "--seed", "3", *flags]) == 0
+        return json.loads(capsys.readouterr().out.strip())["config_hash"]
+
+    first = config_hash()
+    assert config_hash("--memory-budget", str(64 << 20)) != first
+    assert config_hash() == first
 
 
 def test_config_error_exit_code():

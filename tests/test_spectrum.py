@@ -1,9 +1,12 @@
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distgaps import spectrum
 from distgaps.errors import ConfigError, SpectrumSizeError
 from distgaps.spectrum import (
     DistanceSpectrum,
@@ -47,15 +50,9 @@ def test_permutation_invariance(rng_session):
     assert np.array_equal(a.values, b.values)
 
 
-def test_thread_invariance(rng_session):
-    pts = rng_session.uniform(0.0, 10.0, size=(700, 2))
-    a = all_pair_distances(pts, threads=1)
-    b = all_pair_distances(pts, threads=2)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_external_engine_equals_packed(rng_session):
-    # a 4 MiB budget forces block spill and k-way merge for 900 points
+    # a 4 MiB budget holds 393,216 distances, so 900 points (404,550) take
+    # a histogram pass and two range passes into the backing file
     pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
     packed = all_pair_distances(pts, memory_budget_bytes=1 << 30)
     external = all_pair_distances(pts, memory_budget_bytes=1 << 22)
@@ -64,16 +61,98 @@ def test_external_engine_equals_packed(rng_session):
     external.close()
 
 
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=40)
+_CAP_4MIB = int(0.75 * (1 << 22)) // 8
+
+
+def _layout(name: str, count: int, rng) -> np.ndarray:
+    if name == "uniform":
+        return rng.uniform(-5.0, 5.0, size=(count, 2))
+    if name == "lattice":
+        # every integer distance (all are below 64) is a histogram bin edge
+        cells = rng.choice(40 * 40, size=count, replace=False)
+        return np.column_stack([cells // 40, cells % 40]).astype(float)
+    if name == "clusters":
+        # three tight clusters on an equilateral triangle of side 1000 put
+        # the ~count**2/3 cross distances in one bin over the cap
+        corners = np.array([[0.0, 0.0], [1000.0, 0.0], [500.0, 500.0 * math.sqrt(3.0)]])
+        tight = corners[np.arange(count - 5) % 3] + rng.normal(0.0, 1e-9, size=(count - 5, 2))
+        return np.vstack([tight, rng.uniform(-3000.0, 3000.0, size=(5, 2))])
+    # coincident: 900 equal points give 404,550 zero distances, one float
+    # value over the cap
+    return np.vstack([np.full((900, 2), 3.25), rng.uniform(0.0, 10.0, size=(count - 900, 2))])
+
+
+@given(st.integers(min_value=1100, max_value=1300), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=3)
 def test_engines_agree_random(count, seed):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-5.0, 5.0, size=(count, 2))
+    for layout in ("uniform", "lattice", "clusters", "coincident"):
+        _check_range_passes(layout, _layout(layout, count, rng))
+
+
+def _check_range_passes(layout: str, pts: np.ndarray) -> None:
+    histograms, ranges, passes = [], [], []
+    count_bins, merge, blocks = spectrum._bins, spectrum._merge_bins, spectrum._blocks
+
+    def spy_bins(*args):
+        histograms.append(args)
+        return count_bins(*args)
+
+    def spy_merge(bins, cap):
+        ranges.extend(merge(bins, cap))
+        return ranges
+
+    def spy_blocks(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    with mock.patch.object(spectrum, "_bins", spy_bins), \
+            mock.patch.object(spectrum, "_merge_bins", spy_merge), \
+            mock.patch.object(spectrum, "_blocks", spy_blocks):
+        b = all_pair_distances(pts, memory_budget_bytes=1 << 22)
     a = all_pair_distances(pts)
-    b = all_pair_distances(pts, memory_budget_bytes=1 << 22)
+    assert len(ranges) >= 2
+    # a range one float value wide takes no pass; every other range holds
+    # at most the cap
+    single = [(lo, hi) for lo, hi, _ in ranges if hi == np.nextafter(lo, math.inf)]
+    over_cap = [(lo, hi) for lo, hi, n in ranges if n > _CAP_4MIB]
+    assert set(over_cap) <= set(single)
+    assert len(passes) == len(histograms) + len(ranges) - len(single)
+    if layout == "clusters":
+        assert len(histograms) >= 2        # the bin over the cap was split
+    if layout == "coincident":
+        assert over_cap == [(0.0, np.nextafter(0.0, 1.0))]
     assert np.array_equal(a.values, np.asarray(b.values))
     assert np.array_equal(a.values, naive_spectrum(pts))
     b.close()
+
+
+def test_failed_pass_leaves_no_file(tmp_path, monkeypatch, rng_session):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
+    fill = spectrum._fill_rows_into
+    passes = []
+
+    def failing(block, x, y, i0, i1):
+        if i0 == 0:
+            passes.append(i0)
+            if len(passes) == 3:        # histogram, first range, second range
+                assert list(tmp_path.glob("*.spectrum"))
+                raise OSError("disk full")
+        fill(block, x, y, i0, i1)
+
+    monkeypatch.setattr(spectrum, "_fill_rows_into", failing)
+    with pytest.raises(OSError, match="disk full"):
+        all_pair_distances(pts, memory_budget_bytes=1 << 22)
+    assert len(passes) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_non_finite_coordinates_rejected(bad):
+    pts = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+    with pytest.raises(ConfigError):
+        all_pair_distances(pts)
 
 
 def test_hard_cap():
