@@ -256,10 +256,18 @@ def empty_canonical_survey(
 
     At level k the canonical cells over all j tile [1, J_end) uniformly with
     step 2^-k (integers are multiples of every such step), so empty-cell
-    counts are total cells minus occupied cells, where occupied cells are
-    the distinct values of floor(d * 2^k).  A unit interval with no
+    counts are total cells minus occupied cells.  A unit interval with no
     distances therefore contributes its full complement of cells at every
     level without being enumerated.
+
+    Occupied cells come from one pass over each class's sorted values.  With
+    the exact cell ids c = floor(d * 2^k_max), the level-k cell of d is
+    c >> (k_max - k), so two adjacent values share a level-k cell unless
+    their ids differ in a bit at or above k_max - k.  Each adjacent pair
+    therefore first splits at level k_max - (top bit of the XOR of its ids),
+    at 0 if that is negative, and stays split at every finer level; equal
+    ids never split.  Occupied cells at level k are one plus the pairs that
+    split at a level <= k.
     """
     if not (0 <= k_max <= 40):
         raise ConfigError(f"k_max must be in [0, 40], got {k_max}")
@@ -287,28 +295,34 @@ def empty_canonical_survey(
             continue
         i0 = int(np.searchsorted(v, float(ja), side="left"))
         i1 = int(np.searchsorted(v, float(jb + 1), side="left"))
-        sub = v[i0:i1]
+        occupied = _occupied_cells(v[i0:i1], k_max)
         units = jb - ja + 1
         for k in range(k_max + 1):
-            total = units << k
-            occupied = _distinct_cells(sub, k)
-            empty = total - occupied
+            empty = (units << k) - occupied[k]
             rows.append(SurveyRow(cls, k, empty, empty * math.ldexp(1.0, -2 * k)))
     return rows
 
 
-def _distinct_cells(sorted_vals: np.ndarray, k: int, window: int = 1 << 24) -> int:
+_SURVEY_WINDOW = 1 << 18
+
+
+def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
+    """Occupied level-k cells of sorted values below 2^(53 - k_max), for
+    k = 0..k_max, from the first-split level of each adjacent pair."""
     if len(sorted_vals) == 0:
-        return 0
-    count = 0
-    prev_cell = -1.0
-    for i in range(0, len(sorted_vals), window):
-        cells = np.floor(np.ldexp(sorted_vals[i:i + window], k))
-        count += 1 + int(np.count_nonzero(np.diff(cells)))
-        if i and cells[0] == prev_cell:
-            count -= 1
-        prev_cell = cells[-1]
-    return count
+        return [0] * (k_max + 1)
+    # pairs by the binary exponent e of their id XOR (top bit e - 1; e = 0
+    # for equal ids), which is below 2^53 and so exact as a float
+    by_exp = np.zeros(54, dtype=np.int64)
+    for w in iter_windows(sorted_vals, _SURVEY_WINDOW):
+        ids = np.floor(np.ldexp(w, k_max)).astype(np.int64)
+        _, e = np.frexp((ids[1:] ^ ids[:-1]).astype(float))
+        by_exp += np.bincount(e, minlength=54)
+    # exponent e >= 1 splits at level max(k_max + 1 - e, 0)
+    first_split = [0] * (k_max + 1)
+    for e in range(1, 54):
+        first_split[max(k_max + 1 - e, 0)] += int(by_exp[e])
+    return (1 + np.cumsum(first_split)).tolist()
 
 
 def survey_to_csv(rows: Iterable[SurveyRow], path: str) -> None:

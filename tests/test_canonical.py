@@ -15,7 +15,7 @@ from distgaps.canonical import (
     is_empty,
     largest_canonical_subinterval,
 )
-from distgaps.construction import DistanceClass
+from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import AuditError, ConfigError
 from distgaps.spectrum import DistanceSpectrum
 
@@ -391,6 +391,113 @@ def test_survey_matches_bruteforce_counts(rng_session):
                     want += 1
         got = sum(r.count_empty for r in rows if r.k == k)
         assert got == want
+
+
+def _distinct_cells(sorted_vals: np.ndarray, k: int, window: int = 1 << 24) -> int:
+    if len(sorted_vals) == 0:
+        return 0
+    count = 0
+    prev_cell = -1.0
+    for i in range(0, len(sorted_vals), window):
+        cells = np.floor(np.ldexp(sorted_vals[i:i + window], k))
+        count += 1 + int(np.count_nonzero(np.diff(cells)))
+        if i and cells[0] == prev_cell:
+            count -= 1
+        prev_cell = cells[-1]
+    return count
+
+
+def _class_ranges(n: int, d_max: float) -> list[tuple[DistanceClass, int, int]]:
+    D = nominal_diameter(n)
+    j_end = max(math.ceil(D), math.floor(d_max) + 1)
+    j_mod_hi = math.floor(1.96 * float(n) ** (4.0 / 7.0))
+    j_large_hi = math.floor(D - 3.0)
+    return [(DistanceClass.MODERATE, 1, j_mod_hi),
+            (DistanceClass.LARGE, j_mod_hi + 1, j_large_hi),
+            (DistanceClass.EXTRA_LARGE, j_large_hi + 1, j_end - 1)]
+
+
+def survey_by_rescans(sp: DistanceSpectrum, n: int, k_max: int) -> list[tuple]:
+    """Oracle: occupied cells are the distinct values of floor(d * 2^k),
+    counted by one rescan of the class's values per level."""
+    v = sp.values
+    rows = []
+    for cls, ja, jb in _class_ranges(n, sp.d_max):
+        if jb < ja:
+            rows += [(cls, k, 0, 0.0) for k in range(k_max + 1)]
+            continue
+        sub = v[np.searchsorted(v, float(ja)):np.searchsorted(v, float(jb + 1))]
+        for k in range(k_max + 1):
+            empty = ((jb - ja + 1) << k) - _distinct_cells(sub, k)
+            rows.append((cls, k, empty, empty * math.ldexp(1.0, -2 * k)))
+    return rows
+
+
+def _rows(rows) -> list[tuple]:
+    return [(r.dist_class, r.k, r.count_empty, r.sum_sq) for r in rows]
+
+
+def _survey_value(ja: int, jb: int, k_max: int):
+    """Values in [ja, jb + 1): exact cell edges, the class's boundary
+    integers, 2^e and 2^e - ulp, and arbitrary floats."""
+    top = float(jb + 1)
+    powers = [x for e in range(10) for x in (2.0**e, math.nextafter(2.0**e, 0.0))
+              if ja <= x < top]
+    edges = st.tuples(st.integers(ja, jb), st.integers(0, k_max + 1)).flatmap(
+        lambda jk: st.builds(lambda l: jk[0] + l * 2.0**-jk[1],
+                             st.integers(0, 2**min(jk[1], 20) - 1)))
+    return st.one_of(
+        edges,
+        st.sampled_from([float(ja), float(jb), math.nextafter(top, 0.0)]),
+        st.sampled_from(powers) if powers else st.nothing(),
+        st.floats(min_value=float(ja), max_value=top, exclude_max=True),
+    )
+
+
+@st.composite
+def _survey_cases(draw):
+    n = draw(st.sampled_from([10**3, 10**4]))
+    k_max = draw(st.integers(0, 40))
+    # values reach two units past D, so the extra-large class grows with d_max
+    top = math.ceil(nominal_diameter(n)) + 2
+    vals: list[float] = []
+    for _, ja, jb in _class_ranges(n, top - 1.0):
+        if jb >= ja:       # n = 1e3 has no large class
+            count = draw(st.sampled_from([0, 1, 2, 5, 30]))    # empty and one-value classes
+            vals += draw(st.lists(_survey_value(ja, jb, k_max),
+                                  min_size=count, max_size=count))
+    if not vals:
+        vals = [1.0]
+    vals += draw(st.lists(st.sampled_from(vals), max_size=20))     # repeated values
+    window = draw(st.sampled_from([1, 2, 3, 7, 1 << 18]))
+    return n, k_max, np.sort(np.asarray(vals)), window
+
+
+@given(_survey_cases())
+@settings(max_examples=300, deadline=None)
+def test_survey_matches_per_level_rescans(case):
+    n, k_max, vals, window = case
+    sp = spectrum_of(vals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_SURVEY_WINDOW", window)      # windows smaller than a class
+        got = _rows(empty_canonical_survey(sp, n, k_max))
+    assert got == survey_by_rescans(sp, n, k_max)
+
+
+def test_survey_guards():
+    n = 10**4                          # J_end = ceil(D) = 387 for d_max below 386
+    sp = spectrum_of([1.5, 2.25, 300.0])
+    for k_max in (-1, 41):
+        with pytest.raises(ConfigError, match="k_max must be"):
+            empty_canonical_survey(sp, n, k_max)
+    # J_end = 8192 = 2^13 puts the ids of level 40 at 2^53 ...
+    with pytest.raises(ConfigError, match="inexact"):
+        empty_canonical_survey(spectrum_of([1.5, 8191.0]), n, 40)
+    with pytest.raises(ConfigError, match="inexact"):
+        empty_canonical_survey(spectrum_of([1.5, 2.0**20]), n, 33)
+    # ... while J_end = 8191 keeps every id below 2^53, the last one exact
+    sp = spectrum_of([1.5, 8000.0, math.nextafter(8191.0, 0.0)])
+    assert _rows(empty_canonical_survey(sp, n, 40)) == survey_by_rescans(sp, n, 40)
 
 
 def test_default_k_max():
