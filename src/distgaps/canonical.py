@@ -1,11 +1,9 @@
-"""Dyadic (canonical) interval machinery and the gap-witness audit.
+"""Dyadic (canonical) intervals: the gap-witness audit and the empty-cell survey.
 
 A canonical interval is I(j,k,l) = [j + (l-1)*2^-k, j + l*2^-k) with integer
 j >= 1, level k >= 0 and 1 <= l <= 2^k: the l-th of the 2^k equal dyadic
 cells of [j, j+1).  Any interval of length L <= 1 inside one unit interval
-contains a canonical subinterval of length > L/4; the selection here is
-exact in floating point because scaling by 2^k and integer ceil/floor are
-exact operations.
+contains a canonical subinterval of length > L/4.
 
 The audit certifies, per spectrum, that the squared gap sum is at most 16
 times the summed squared lengths of one disjoint family of empty canonical
@@ -24,6 +22,16 @@ one unit interval has fb <= 1 and a length of at least ulp(a); the levels
 k its search needs keep ldexp(fa, k) below 2^53, so floor(...) + 1 and the
 comparisons are exact.  A crossing gap needs only the binary exponents
 (frexp) of its end pieces 1 - fa and b - (ceil(b) - 1).
+
+The audit walks the spectrum in the consumer windows of ``spectrum`` and
+takes the squared gap sum of every window, zeros included, with the same
+``SquaredGapSum`` as ``gap_stats``, so both report the same sum to the last
+bit.  Per window, one mask selects the positive gaps inside a unit
+interval and each of their arrays is compressed once; the rare crossing
+gaps are taken by index and witnessed in batches.  Every witness is counted
+by its level k (whole unit cells apart), so the witness sum is
+sum(count[k] * 4^-k) + units over exact products, rounded once at the end:
+it depends on neither window nor order.
 """
 from __future__ import annotations
 
@@ -33,68 +41,13 @@ from typing import Iterable
 
 import numpy as np
 
+from . import spectrum as spectrum_mod
 from .construction import DistanceClass, nominal_diameter
 from .errors import AuditError, ConfigError
-from .spectrum import DistanceSpectrum, iter_windows
+from .spectrum import DistanceSpectrum, SquaredGapSum, iter_windows
 
-@dataclass(frozen=True)
-class CanonicalInterval:
-    j: int
-    k: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ConfigError(f"j must be >= 1, got {self.j}")
-        if not (0 <= self.k <= 52):
-            raise ConfigError(f"k must be in [0, 52], got {self.k}")
-        if not (1 <= self.l <= 2**self.k):
-            raise ConfigError(f"l must be in [1, 2^{self.k}], got {self.l}")
-
-    @property
-    def length(self) -> float:
-        return math.ldexp(1.0, -self.k)
-
-
-def interval_bounds(ci: CanonicalInterval) -> tuple[float, float]:
-    h = math.ldexp(1.0, -ci.k)
-    return ci.j + (ci.l - 1) * h, ci.j + ci.l * h
-
-
-def _first_level(length: float) -> int:
-    # smallest k with 2^-k <= length (frexp: length = mant * 2^e, mant in [0.5, 1))
-    _, e = math.frexp(length)
-    return max(0, 1 - e)
-
-
-def largest_canonical_subinterval(lo: float, hi: float) -> CanonicalInterval:
-    """Canonical subinterval of [lo, hi) with the smallest level that fits.
-
-    Requires 1 <= lo < hi, hi - lo <= 1, and [lo, hi) within one unit
-    interval [j, j+1); the result has length > (hi - lo)/4 and, among
-    fitting cells at the chosen level, the smallest l.
-    """
-    if not (1.0 <= lo < hi):
-        raise ConfigError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > 1.0:
-        raise ConfigError(f"interval longer than 1: [{lo}, {hi})")
-    j = math.floor(lo)
-    if hi > j + 1:
-        raise AuditError(f"[{lo}, {hi}) crosses the integer boundary {j + 1}")
-    for k in (k1 := _first_level(hi - lo), k1 + 1):
-        c = math.ceil(math.ldexp(lo, k))        # exact: scaling by 2^k is exact
-        if c + 1 <= math.ldexp(hi, k):
-            return CanonicalInterval(j, k, c - (j << k) + 1)
-    raise AssertionError("unreachable: level k1+1 always fits")
-
-
-def is_empty(spectrum: DistanceSpectrum, lo: float, hi: float) -> bool:
-    """True iff no distance lies in [lo, hi)."""
-    if not lo < hi:
-        raise ConfigError(f"need lo < hi, got [{lo}, {hi})")
-    v = spectrum.values
-    idx = np.searchsorted(v, lo, side="left")
-    return bool(idx == len(v) or v[idx] >= hi)
+# witness levels: a gap of a value >= 1 is at least 2^-52 long, so k <= 53
+_LEVELS = 54
 
 
 # ---------------------------------------------------------------------------
@@ -114,56 +67,92 @@ class WitnessAudit:
     crossing_witness_sum_sq: float
 
 
-def _check_inside(a: np.ndarray, b: np.ndarray, j: np.ndarray,
+def _check_inside(j: np.ndarray, fa: np.ndarray, fb: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise AuditError unless each witness [j + lo, j + hi) lies in its open
-    gap (a, b).  Compared relative to the integer j, where a - j and b - j
-    are exact; consecutive spectrum values bound each gap, so containment
-    is the emptiness proof."""
-    if np.any(lo <= a - j) or np.any(hi > b - j):
+    gap (j + fa, j + fb).  Compared relative to the integer j, where the
+    fractional parts fa and fb are exact; consecutive spectrum values bound
+    each gap, so containment is the emptiness proof."""
+    if (lo <= fa).any() or (hi > fb).any():
         raise AuditError("non-empty witness interval (containment failed)")
 
 
-def _gap_witnesses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared witness sum and crossing flag of each open gap (a_i, b_i),
-    1 <= a_i < b_i, with j = floor(a_i).
-
-    A gap inside [j, j+1] takes the best canonical interval of the two-level
-    search.  A gap crossing integers takes the largest 2^-k strictly below
-    its left piece (a, j+1), ending at j+1; the unit cells from j+1 to
-    ceil(b)-1; and the largest 2^-k within its right piece
-    [ceil(b)-1, b), starting at ceil(b)-1.
+def _unit_witnesses(j: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level k and grid index c of the witness [j + c*2^-k, j + (c+1)*2^-k)
+    of each open gap (j + fa, j + fb) inside one unit interval,
+    0 <= fa < fb <= 1: the coarsest dyadic cell that fits, leftmost at its
+    level, from a two-level search.  Its length exceeds a quarter of the gap.
     """
-    j = np.floor(a)
-    cross = b - j > 1.0
-    wsq = np.empty(len(a))
-
-    # inside one unit interval: two-level search on the exact fractional parts
-    ai, bi, ji = a[~cross], b[~cross], j[~cross]
-    fa, fb = ai - ji, bi - ji
     _, e = np.frexp(fb - fa)
-    k = np.maximum(1 - e, 0)                     # smallest k with 2^-k <= gap
+    k = 1 - e                                    # smallest k with 2^-k <= gap <= 1
     k += np.floor(np.ldexp(fa, k)) + 2.0 > np.ldexp(fb, k)    # misses: k+1 fits
     c = np.floor(np.ldexp(fa, k)) + 1.0          # first grid index above fa
-    _check_inside(ai, bi, ji, np.ldexp(c, -k), np.ldexp(c + 1.0, -k))
-    wsq[~cross] = np.ldexp(1.0, -2 * k)
-
-    # crossing integers: closed form from the end pieces' binary exponents
-    ac, bc, jc = a[cross], b[cross], j[cross]
-    m, e = np.frexp(1.0 - (ac - jc))
-    hl = np.ldexp(1.0, e - 1 - (m == 0.5))
-    top = np.ceil(bc - jc) - 1.0                 # right piece starts at j + top
-    _, e = np.frexp(bc - jc - top)
-    hr = np.ldexp(1.0, e - 1)
-    ones = np.ones(len(ac))
-    for lo, hi in ((1.0 - hl, ones), (ones, top), (top, top + hr)):
-        _check_inside(ac, bc, jc, lo, hi)
-    # left piece, unit cells, right piece: the Fraction oracle's order
-    wsq[cross] = (hl * hl + (top - 1.0)) + hr * hr
-    return wsq, cross
+    _check_inside(j, fa, fb, np.ldexp(c, -k), np.ldexp(c + 1.0, -k))
+    return k, c
 
 
-def audit_gap_witnesses(spectrum: DistanceSpectrum, window: int = 1 << 24) -> WitnessAudit:
+def _crossing_witnesses(j: np.ndarray, fa: np.ndarray, fb: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Witnesses of each open gap (j + fa, j + fb) crossing integers,
+    0 <= fa < 1 < fb, as (kl, units, kr): the largest 2^-kl strictly below
+    the left piece (fa, 1), ending at 1; the unit cells from 1 to
+    top = ceil(fb) - 1; and the largest 2^-kr within the right piece
+    [top, fb), starting at top.
+    """
+    m, e = np.frexp(1.0 - fa)
+    kl = 1 - e + (m == 0.5)
+    top = np.ceil(fb) - 1.0
+    _, e = np.frexp(fb - top)
+    kr = 1 - e
+    ones = np.ones(len(fa))
+    for lo, hi in ((1.0 - np.ldexp(1.0, -kl), ones), (ones, top),
+                   (top, top + np.ldexp(1.0, -kr))):
+        _check_inside(j, fa, fb, lo, hi)
+    return kl, top - 1.0, kr
+
+
+class _Crossings:
+    """Gaps crossing integers, gathered across windows and witnessed in
+    batches of about one consumer window: they are rare, so one closed-form
+    call per window would cost more in calls than in arithmetic."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.gap_sum = SquaredGapSum()
+        self.levels = np.zeros(_LEVELS, dtype=np.int64)   # end pieces per level
+        self.units = 0                                    # whole unit cells
+        self._a: list[np.ndarray] = []
+        self._b: list[np.ndarray] = []
+        self._pending = 0
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        self._a.append(a)
+        self._b.append(b)
+        self._pending += len(a)
+        if self._pending >= spectrum_mod._WINDOW:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._a:
+            return
+        a, b = np.concatenate(self._a), np.concatenate(self._b)
+        self._a, self._b, self._pending = [], [], 0
+        self.count += len(a)
+        self.gap_sum.add(b - a)
+        j = np.floor(a)
+        kl, units, kr = _crossing_witnesses(j, a - j, b - j)
+        self.levels += np.bincount(kl, minlength=_LEVELS)
+        self.levels += np.bincount(kr, minlength=_LEVELS)
+        self.units += int(units.sum())          # integers below 2^53: exact
+
+
+def _dyadic_sum(levels: np.ndarray, units: int) -> float:
+    """sum(levels[k] * 4^-k) + units, rounded once: each product is exact."""
+    return math.fsum([float(units)] + [int(c) * math.ldexp(1.0, -2 * k)
+                                       for k, c in enumerate(levels)])
+
+
+def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     """Certify gap_sum_sq <= 16 * witness_sum_sq over disjoint empty witnesses.
 
     Every positive gap (d_i, d_{i+1}) contributes the canonical witness(es)
@@ -177,57 +166,37 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum, window: int = 1 << 24) -> Wi
     if spectrum.d_min < 1.0:
         raise ConfigError(f"audit requires d_min >= 1, got {spectrum.d_min}")
 
-    gap_total = 0.0
-    gap_comp = 0.0
-    wit_total = 0.0
-    wit_comp = 0.0
-    cross_gap_sq = 0.0
-    cross_wit_sq = 0.0
-    positive = 0
-    crossing = 0
-    gaps_seen = 0
-
-    def kadd(val: float, which: int) -> None:
-        nonlocal gap_total, gap_comp, wit_total, wit_comp
-        if which == 0:
-            yv = val - gap_comp
-            t = gap_total + yv
-            gap_comp = (t - gap_total) - yv
-            gap_total = t
-        else:
-            yv = val - wit_comp
-            t = wit_total + yv
-            wit_comp = (t - wit_total) - yv
-            wit_total = t
-
-    for w in iter_windows(v, window):
-        a = np.asarray(w[:-1], dtype=float)
-        b = np.asarray(w[1:], dtype=float)
+    gap_sum = SquaredGapSum()
+    levels = np.zeros(_LEVELS, dtype=np.int64)   # witnesses inside a unit interval, per level
+    crossings = _Crossings()
+    for w in iter_windows(v):
+        a, b = w[:-1], w[1:]
         g = b - a
-        gaps_seen += len(g)
-        pos = g > 0
-        if not pos.any():
+        if not len(g):
             continue
-        a, b, g = a[pos], b[pos], g[pos]
-        positive += len(g)
-        kadd(float(np.dot(g, g)), 0)
-        wsq, cross = _gap_witnesses(a, b)
-        kadd(float(wsq.sum()), 1)
-        gc = g[cross]
-        crossing += len(gc)
-        cross_gap_sq += float(np.dot(gc, gc))
-        cross_wit_sq += float(wsq[cross].sum())
+        gap_sum.add(g)
+        fb = b - np.floor(a)
+        keep = g > 0.0
+        keep &= fb <= 1.0                        # positive, inside one unit interval
+        ak = a[keep]
+        jk = np.floor(ak)
+        k, _ = _unit_witnesses(jk, ak - jk, fb[keep])
+        levels += np.bincount(k, minlength=_LEVELS)
+        cross = np.flatnonzero(fb > 1.0)         # positive, crossing an integer
+        if len(cross):
+            crossings.add(a[cross], b[cross])
+    crossings.flush()
 
-    holds = gap_total <= 16.0 * wit_total
+    witness_sum_sq = _dyadic_sum(levels + crossings.levels, crossings.units)
     return WitnessAudit(
-        gap_sum_sq=gap_total,
-        witness_sum_sq=wit_total,
-        holds=holds,
-        gap_count=gaps_seen,
-        positive_gap_count=positive,
-        crossing_count=crossing,
-        crossing_gap_sum_sq=cross_gap_sq,
-        crossing_witness_sum_sq=cross_wit_sq,
+        gap_sum_sq=gap_sum.total,
+        witness_sum_sq=witness_sum_sq,
+        holds=gap_sum.total <= 16.0 * witness_sum_sq,
+        gap_count=len(v) - 1,
+        positive_gap_count=int(levels.sum()) + crossings.count,
+        crossing_count=crossings.count,
+        crossing_gap_sum_sq=crossings.gap_sum.total,
+        crossing_witness_sum_sq=_dyadic_sum(crossings.levels, crossings.units),
     )
 
 
@@ -284,7 +253,9 @@ def empty_canonical_survey(
     ranges = [
         (DistanceClass.MODERATE, 1, j_mod_hi),
         (DistanceClass.LARGE, j_mod_hi + 1, j_large_hi),
-        (DistanceClass.EXTRA_LARGE, j_large_hi + 1, J_end - 1),
+        # at small n the moderate class reaches past D - 3 and the large
+        # class is empty; extra-large starts after whichever ends later
+        (DistanceClass.EXTRA_LARGE, max(j_mod_hi, j_large_hi) + 1, J_end - 1),
     ]
 
     rows: list[SurveyRow] = []
@@ -303,9 +274,6 @@ def empty_canonical_survey(
     return rows
 
 
-_SURVEY_WINDOW = 1 << 18
-
-
 def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
     """Occupied level-k cells of sorted values below 2^(53 - k_max), for
     k = 0..k_max, from the first-split level of each adjacent pair."""
@@ -314,7 +282,7 @@ def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
     # pairs by the binary exponent e of their id XOR (top bit e - 1; e = 0
     # for equal ids), which is below 2^53 and so exact as a float
     by_exp = np.zeros(54, dtype=np.int64)
-    for w in iter_windows(sorted_vals, _SURVEY_WINDOW):
+    for w in iter_windows(sorted_vals):
         ids = np.floor(np.ldexp(w, k_max)).astype(np.int64)
         _, e = np.frexp((ids[1:] ^ ids[:-1]).astype(float))
         by_exp += np.bincount(e, minlength=54)

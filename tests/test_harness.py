@@ -80,6 +80,17 @@ def test_run_construct_deterministic_modulo_elapsed():
     assert da == db
 
 
+def test_records_do_not_depend_on_budget():
+    # 4 MiB holds 393,216 distances: n = 1e5 (about 6.8e5) spills there
+    records = []
+    for budget in (1 << 22, 128 << 20, 2 << 30):
+        fields = run_construct(10**5, 1e-3, Seed(1), memory_budget_bytes=budget).__dict__
+        fields.pop("elapsed_ms")
+        records.append(fields)
+    assert records[0]["realized_points"] ** 2 // 2 > (3 << 20) // 8
+    assert records[0] == records[1] == records[2]
+
+
 def test_validate_rejects_bad_records():
     rec = RunRecord(
         n_param=10**4, epsilon=1e-3, seed=1, realized_points=100,

@@ -185,11 +185,12 @@ def test_gap_stats_hand_values():
     assert gs.max_gap == 0.0
 
 
-def test_gap_stats_windowing_invariant(rng_session):
+def test_gap_stats_windowing_invariant(rng_session, monkeypatch):
     vals = np.sort(rng_session.uniform(1.0, 100.0, 10_001))
     sp = spectrum_of(vals)
-    full = gap_stats(sp, window=1 << 24)
-    small = gap_stats(sp, window=257)
+    full = gap_stats(sp)
+    monkeypatch.setattr(spectrum, "_WINDOW", 257)
+    small = gap_stats(sp)
     assert full.gap_sum_sq == pytest.approx(small.gap_sum_sq, rel=1e-14)
     assert full.max_gap == small.max_gap
     assert full.gap_count == small.gap_count == 10_000
@@ -232,6 +233,21 @@ def test_dump_roundtrip(tmp_path, rng_session):
     # header: little-endian uint64 count
     raw = path.read_bytes()
     assert int.from_bytes(raw[:8], "little") == sp.m
+
+
+@pytest.mark.parametrize("window", [1, 7, 1 << 15])
+def test_dump_bytes_in_any_chunking(tmp_path, rng_session, monkeypatch, window):
+    # a spilled (memmap-backed) spectrum, written in chunks of any size,
+    # gives the count header and the values as little-endian float64
+    pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
+    sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
+    assert sp._backing is not None
+    monkeypatch.setattr(spectrum, "_WINDOW", window)
+    path = tmp_path / "spec.bin"
+    write_spectrum(sp, str(path))
+    want = sp.m.to_bytes(8, "little") + np.asarray(sp.values).astype("<f8").tobytes()
+    assert path.read_bytes() == want
+    sp.close()
 
 
 def test_truncated_dump_is_config_error(tmp_path):
