@@ -136,7 +136,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_nobonds(args) -> int:
     try:
         region = region_from_dict(json.loads(args.region))
-    except (json.JSONDecodeError, KeyError) as exc:
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"bad region JSON: {exc}") from exc
     bond = BondSpec(args.bond_lo, args.bond_hi)
     est = nobonds.estimate_mu_nu(region, args.density, bond, args.samples, Seed(args.seed))

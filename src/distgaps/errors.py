@@ -18,7 +18,7 @@ class DegenerateRegionError(DistgapsError):
 
 
 class ConvergenceError(DistgapsError):
-    """Quadrature or Monte Carlo error target not met at the requested effort."""
+    """Monte Carlo error target not met at the requested effort."""
 
 
 class SpectrumSizeError(DistgapsError):

@@ -93,6 +93,26 @@ class HarnessConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_path(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# HarnessConfig field -> (what a YAML value must be, its check)
+_CONFIG_TYPES = {
+    "n_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "seeds_per_n": ("an integer", _is_int),
+    "epsilon": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "base_seed": ("an integer", _is_int),
+    "memory_budget_bytes": ("an integer", _is_int),
+    "out_csv": ("a string or null", _is_path),
+    "out_json": ("a string or null", _is_path),
+}
+
+
 def load_config(path: str) -> HarnessConfig:
     with open(path) as fh:
         data = yaml.safe_load(fh) or {}
@@ -102,6 +122,10 @@ def load_config(path: str) -> HarnessConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        what, ok = _CONFIG_TYPES[key]
+        if not ok(value):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     return HarnessConfig(**data)
 
 

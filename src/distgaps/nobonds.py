@@ -36,6 +36,8 @@ from .poisson import as_seed, sample_poisson, uniform_in_region
 from .regions import Density, Region
 
 _WILSON_Z99 = 2.5758293035489004
+# janson_exact enumerates all 2**nv subsets of the ground set
+MAX_GROUND_SET = 20
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +54,8 @@ class JansonInstance:
 
     def __post_init__(self) -> None:
         nv = len(self.probs)
-        if nv > 20:
-            raise ConfigError(f"ground set of {nv} exceeds the exact limit 20")
+        if nv > MAX_GROUND_SET:
+            raise ConfigError(f"ground set of {nv} exceeds the exact limit {MAX_GROUND_SET}")
         if any(not (0.0 <= p < 1.0) for p in self.probs):
             raise ConfigError("element probabilities must lie in [0, 1)")
         seen = set()
@@ -139,7 +141,10 @@ def janson_exact(instance: JansonInstance, slack: float = 1e-9) -> JansonExactRe
 def random_janson_instance(
     rng: np.random.Generator, max_ground_set: int = 12, max_prob: float = 0.3
 ) -> JansonInstance:
-    """Random edge system for bulk verification runs."""
+    """Random edge system for bulk verification runs; the ground set has
+    2..max_ground_set elements."""
+    if not 2 <= max_ground_set <= MAX_GROUND_SET:
+        raise ConfigError(f"max_ground_set must lie in [2, {MAX_GROUND_SET}], got {max_ground_set}")
     nv = int(rng.integers(2, max_ground_set + 1))
     probs = tuple(float(v) for v in rng.uniform(0.0, max_prob, nv))
     edge_prob = float(rng.uniform(0.1, 0.9))

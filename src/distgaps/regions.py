@@ -1,9 +1,11 @@
 """Planar domains: membership tests, bounding boxes, and measures.
 
-All regions are centered at the origin.  ``PolarLobes`` is the two-sided
-wedge pair used by the construction: radii strictly between ``0.9*R`` and
-``R - 1`` (with ``R = n**(4/7)``), and circular angular distance to the
-nearest of the directions {0, pi} strictly below ``0.5*(R - r)**(-1/4)``.
+The regions are a closed set of three shapes, ``Rectangle``, ``Disk`` and
+``PolarLobes``, each with a closed-form area; all are centered at the
+origin.  ``PolarLobes`` is the two-sided wedge pair used by the
+construction: radii strictly between ``0.9*R`` and ``R - 1`` (with
+``R = n**(4/7)``), and circular angular distance to the nearest of the
+directions {0, pi} strictly below ``0.5*(R - r)**(-1/4)``.
 The lobes widen toward the outer radius and never wrap (max half-width 0.5
 radian), so the two antipodal wedges are disjoint.
 """
@@ -11,18 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 
 # Below this construction parameter the lobes degenerate (the annulus
 # 0.9*R < r < R-1 becomes too thin for the separation guarantees).
 N_MIN = 10_000
-
-_QUAD_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,8 @@ class Rectangle:
     half_height: float
 
     def __post_init__(self) -> None:
-        if not (self.half_width > 0 and self.half_height > 0):
-            raise ConfigError("rectangle half-extents must be positive")
+        if not (0 < self.half_width < math.inf and 0 < self.half_height < math.inf):
+            raise ConfigError("rectangle half-extents must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ConfigError("disk radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("disk radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -74,20 +73,7 @@ class PolarLobes:
         return float(self.n_param) ** (4.0 / 7.0)
 
 
-@dataclass(frozen=True)
-class CustomRegion:
-    """Arbitrary region given by a vectorized membership predicate.
-
-    ``contains_fn`` maps an (N, 2) array to an (N,) boolean array.  ``area``
-    is optional; measuring a CustomRegion without it raises.
-    """
-
-    contains_fn: Callable[[np.ndarray], np.ndarray]
-    box: Rectangle
-    area: float | None = None
-
-
-Region = Union[Rectangle, Disk, PolarLobes, CustomRegion]
+Region = Union[Rectangle, Disk, PolarLobes]
 
 
 def _as_points(p) -> tuple[np.ndarray, bool]:
@@ -117,8 +103,6 @@ def contains(region: Region, p) -> bool | np.ndarray:
             theta = np.arctan2(y[radial], x[radial])
             axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
             out[radial] = axis_dist < 0.5 * (R - r[radial]) ** -0.25
-    elif isinstance(region, CustomRegion):
-        out = np.asarray(region.contains_fn(pts), dtype=bool)
     else:
         raise ConfigError(f"unknown region type {type(region)!r}")
     return bool(out[0]) if scalar else out
@@ -132,10 +116,6 @@ def area(region: Region) -> float:
         return math.pi * region.radius**2
     if isinstance(region, PolarLobes):
         return _lobes_area(region)
-    if isinstance(region, CustomRegion):
-        if region.area is None:
-            raise ConfigError("CustomRegion has no area; supply one to measure it")
-        return region.area
     raise ConfigError(f"unknown region type {type(region)!r}")
 
 
@@ -146,22 +126,15 @@ def measure(region: Region, density: Density) -> float:
 
 def _lobes_area(region: PolarLobes) -> float:
     # Angular measure at radius r is 4 * 0.5*(R-r)^(-1/4): two lobes, each
-    # two-sided.  The theta-extent is analytic, so only the radial direction
-    # is integrated (adaptive 1-D quadrature).
+    # two-sided.  The area is the integral of 2*(R-r)^(-1/4) * r dr over
+    # (0.9R, R-1); with u = R - r its antiderivative is
+    # F(u) = 2*(4R/3 * u^(3/4) - 4/7 * u^(7/4)), taken from u = 1 to 0.1R.
     R = region.outer_radius
-    val, err = quad(
-        lambda r: 2.0 * (R - r) ** -0.25 * r,
-        0.9 * R,
-        R - 1.0,
-        epsrel=1e-10,
-        limit=200,
-    )
-    if not (val > 0.0) or err > _QUAD_REL_TOL * val:
-        raise ConvergenceError(
-            f"lobes area quadrature did not reach rel error {_QUAD_REL_TOL}: "
-            f"value={val}, err={err}"
-        )
-    return val
+
+    def F(u: float) -> float:
+        return 2.0 * (4.0 * R / 3.0 * u**0.75 - 4.0 / 7.0 * u**1.75)
+
+    return F(0.1 * R) - F(1.0)
 
 
 def bounding_box(region: Region) -> Rectangle:
@@ -174,22 +147,19 @@ def bounding_box(region: Region) -> Rectangle:
         R = region.outer_radius
         # widest half-angle is 0.5 rad, reached at the outer edge r = R-1
         return Rectangle(R - 1.0, (R - 1.0) * math.sin(0.5))
-    if isinstance(region, CustomRegion):
-        return region.box
     raise ConfigError(f"unknown region type {type(region)!r}")
 
 
 def diameter_upper_bound(region: Region) -> float:
     """Upper bound on the distance between any two region points (exact for
-    Rectangle/Disk, bbox diagonal otherwise)."""
+    Rectangle/Disk, the outer diameter for PolarLobes)."""
     if isinstance(region, Disk):
         return 2.0 * region.radius
     if isinstance(region, Rectangle):
         return 2.0 * math.hypot(region.half_width, region.half_height)
     if isinstance(region, PolarLobes):
         return 2.0 * (region.outer_radius - 1.0)
-    box = bounding_box(region)
-    return 2.0 * math.hypot(box.half_width, box.half_height)
+    raise ConfigError(f"unknown region type {type(region)!r}")
 
 
 def rect_domain(n: int) -> Rectangle:
@@ -204,24 +174,28 @@ def lobe_domain(n: int) -> PolarLobes:
     return PolarLobes(n)
 
 
-def region_to_dict(region: Region) -> dict:
-    """Tagged serialization {kind, parameters} used in run records."""
-    if isinstance(region, Rectangle):
-        return {"kind": "rectangle", "half_width": region.half_width,
-                "half_height": region.half_height}
-    if isinstance(region, Disk):
-        return {"kind": "disk", "radius": region.radius}
-    if isinstance(region, PolarLobes):
-        return {"kind": "polar_lobes", "n_param": region.n_param}
-    raise ConfigError(f"region {type(region).__name__} is not serializable")
+def _number(d: dict, key: str) -> float:
+    if key not in d:
+        raise ConfigError(f"region {d.get('kind')!r} needs the field {key!r}")
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"region field {key!r} must be a number, got {v!r}")
+    return float(v)
 
 
-def region_from_dict(d: dict) -> Region:
+def region_from_dict(d) -> Region:
+    """Region from its tagged form {"kind": ..., <parameters>}, as given to
+    ``nobonds-verify --region``; malformed input raises ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"region must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "rectangle":
-        return Rectangle(float(d["half_width"]), float(d["half_height"]))
+        return Rectangle(_number(d, "half_width"), _number(d, "half_height"))
     if kind == "disk":
-        return Disk(float(d["radius"]))
+        return Disk(_number(d, "radius"))
     if kind == "polar_lobes":
-        return PolarLobes(int(d["n_param"]))
+        n = _number(d, "n_param")
+        if not n.is_integer():
+            raise ConfigError(f"region field 'n_param' must be an integer, got {d['n_param']!r}")
+        return PolarLobes(int(n))
     raise ConfigError(f"unknown region kind {kind!r}")

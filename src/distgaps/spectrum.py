@@ -56,9 +56,8 @@ class GapStats:
 class DistanceSpectrum:
     """Sorted ascending distances d_1 <= ... <= d_m of an N-point set."""
 
-    def __init__(self, values: np.ndarray, point_count: int, _backing: str | None = None):
+    def __init__(self, values: np.ndarray, _backing: str | None = None):
         self.values = values
-        self.point_count = point_count
         self._backing = _backing
         if _backing is not None:
             self._finalizer = weakref.finalize(self, _remove_quiet, _backing)
@@ -139,7 +138,7 @@ def all_pair_distances(
         for i0, i1 in _row_blocks(n, rows_per_block):
             _fill_rows_into(out[_row_prefix(n, i0):_row_prefix(n, i1)], x, y, i0, i1)
         out.sort()
-        return DistanceSpectrum(out, n)
+        return DistanceSpectrum(out)
 
     bins = _bins(x, y, rows_per_block, cap, 0, 63)     # 0 << 63: every distance
     fd, path = tempfile.mkstemp(suffix=".spectrum")
@@ -164,7 +163,7 @@ def all_pair_distances(
     except BaseException:
         _remove_quiet(path)
         raise
-    return DistanceSpectrum(values, n, _backing=path)
+    return DistanceSpectrum(values, _backing=path)
 
 
 def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
@@ -324,7 +323,7 @@ def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
             fh.write(memoryview(np.ascontiguousarray(v[i:i + _WINDOW], dtype="<f8")))
 
 
-def read_spectrum(path: str, point_count: int | None = None) -> DistanceSpectrum:
+def read_spectrum(path: str) -> DistanceSpectrum:
     """Map a dump read-only, so reading it holds no copy of the values."""
     size = os.path.getsize(path)
     if size < 8:
@@ -334,8 +333,4 @@ def read_spectrum(path: str, point_count: int | None = None) -> DistanceSpectrum
     if size - 8 != 8 * count:
         raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
     values = np.memmap(path, dtype="<f8", mode="r", offset=8, shape=(count,))
-    if point_count is None:
-        # invert m = N(N-1)/2 when it is a triangular number, else mark unknown
-        root = int((1 + math.isqrt(1 + 8 * count)) // 2)
-        point_count = root if root * (root - 1) // 2 == count else 0
-    return DistanceSpectrum(values, point_count)
+    return DistanceSpectrum(values)

@@ -231,7 +231,7 @@ def test_criterion_06_witness_audit(grid_run):
         assert rec.gap_bound_holds, f"audit failed on n={rec.n_param} seed={rec.seed}"
     bad = 0
     for vals in _synthetic_spectra(100):
-        audit = audit_gap_witnesses(DistanceSpectrum(vals, 0))
+        audit = audit_gap_witnesses(DistanceSpectrum(vals))
         if not audit.holds:
             bad += 1
     report(6, "gap-witness audit", bad == 0,

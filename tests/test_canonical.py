@@ -15,7 +15,7 @@ from distgaps.spectrum import DistanceSpectrum, gap_stats
 
 
 def spectrum_of(values) -> DistanceSpectrum:
-    return DistanceSpectrum(np.sort(np.asarray(values, dtype=float)), 0)
+    return DistanceSpectrum(np.sort(np.asarray(values, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

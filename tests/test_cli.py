@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,7 +36,7 @@ def test_construct_and_spectrum_roundtrip(tmp_path, capsys):
     assert sp.m == rec["realized_points"] * (rec["realized_points"] - 1) // 2
     # the dump must agree with a fresh in-process spectrum of the same seed
     con = construction.assemble(20000, 1e-3, Seed(3))
-    assert sp.point_count == con.realized_points
+    assert sp.m == con.realized_points * (con.realized_points - 1) // 2
 
 
 def test_canonical_audit_command(tmp_path, capsys):
@@ -73,6 +76,13 @@ def test_janson_verify_command(capsys):
     assert out["instances"] == 50
 
 
+@pytest.mark.parametrize("max_ground_set", ["1", "21", "25"])
+def test_janson_verify_ground_set_range(capsys, max_ground_set):
+    rc = main(["janson-verify", "--instances", "3", "--max-ground-set", max_ground_set])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_nobonds_verify_command(capsys):
     rc = main([
         "nobonds-verify", "--region", '{"kind": "rectangle", "half_width": 0.5, "half_height": 0.5}',
@@ -85,11 +95,14 @@ def test_nobonds_verify_command(capsys):
 
 
 def test_bad_region_json_is_config_error(capsys):
-    rc = main([
-        "nobonds-verify", "--region", '{"kind": "hexagon"}',
-        "--density", "1.0", "--bond-lo", "0.1", "--bond-hi", "0.2",
-    ])
-    assert rc == 2
+    for region in ('{"kind": "hexagon"}', "{", "[1,2]", '{"kind": "disk"}',
+                   '{"kind": "disk", "radius": "x"}', '{"kind": "disk", "radius": 1e400}'):
+        rc = main([
+            "nobonds-verify", "--region", region,
+            "--density", "1.0", "--bond-lo", "0.1", "--bond-hi", "0.2",
+        ])
+        assert rc == 2, region
+        assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -137,7 +150,7 @@ def test_audit_failure_exit_code(tmp_path, capsys):
     from distgaps.spectrum import DistanceSpectrum, write_spectrum
 
     dump = tmp_path / "bad.bin"
-    write_spectrum(DistanceSpectrum(np.array([1.5, 17.5]), 2), str(dump))
+    write_spectrum(DistanceSpectrum(np.array([1.5, 17.5])), str(dump))
     rc = main(["canonical-audit", "--spectrum-file", str(dump)])
     out = json.loads(capsys.readouterr().out.strip())
     assert rc == 1
@@ -184,3 +197,31 @@ def test_scaling_config_precedence(tmp_path, capsys):
     assert len(rows) == 12
     assert {float(r[1]) for r in rows} == {0.002}
     assert {int(r[2]) for r in rows} == {7, 8, 9}
+
+
+@pytest.mark.parametrize("line", [
+    "memory_budget_bytes: 1G",
+    "n_grid: 10000",
+    "n_grid: [10000, 2.5e4]",
+    "seeds_per_n: 3.5",
+    "base_seed: true",
+    "epsilon: 1e-3",           # YAML 1.1 reads this as a string
+    "out_csv: [a, b]",
+])
+def test_scaling_config_wrong_type_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(line + "\n")
+    assert main(["scaling", "--config", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only; the library and CLI must not load it
+    import distgaps
+
+    src = os.path.dirname(os.path.dirname(distgaps.__file__))
+    code = "import sys, distgaps.cli, distgaps.harness; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

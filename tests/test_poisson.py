@@ -121,16 +121,12 @@ def test_seed_value_range():
         Seed(2**64)
 
 
-def test_degenerate_region_signaled():
-    # membership predicate rejects everything: the sampler must give up with
-    # a clear error instead of spinning
+def test_degenerate_region_signaled(monkeypatch):
+    # membership test rejects everything: the sampler must give up with a
+    # clear error instead of spinning
+    from distgaps import regions
     from distgaps.errors import DegenerateRegionError
-    from distgaps.regions import CustomRegion, Rectangle as Rect
 
-    hostile = CustomRegion(
-        contains_fn=lambda pts: np.zeros(len(pts), dtype=bool),
-        box=Rect(1.0, 1.0),
-        area=4.0,
-    )
+    monkeypatch.setattr(regions, "contains", lambda region, pts: np.zeros(len(pts), dtype=bool))
     with pytest.raises(DegenerateRegionError):
-        sample_poisson(hostile, Density(2.0), Seed(1))
+        sample_poisson(regions.Disk(1.0), Density(2.0), Seed(1))

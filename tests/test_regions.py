@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from distgaps import regions
 from distgaps.errors import ConfigError
 from distgaps.regions import (
-    CustomRegion,
     Density,
     Disk,
     PolarLobes,
@@ -18,15 +17,7 @@ from distgaps.regions import (
     measure,
     rect_domain,
     region_from_dict,
-    region_to_dict,
 )
-
-
-def lobes_area_closed_form(n: int) -> float:
-    # antiderivative of 2*(R-r)^(-1/4)*r over (0.9R, R-1), substituting u=R-r
-    R = n ** (4.0 / 7.0)
-    u1 = 0.1 * R
-    return (8.0 * R / 3.0) * (u1**0.75 - 1.0) - (8.0 / 7.0) * (u1**1.75 - 1.0)
 
 
 def test_rectangle_contains():
@@ -73,11 +64,15 @@ def test_disk_measure():
     assert measure(Disk(1.0), Density(1.0)) == pytest.approx(math.pi, rel=1e-12)
 
 
-def test_lobes_measure_against_antiderivative():
-    for n in (10**4, 10**5, 10**6):
-        got = measure(lobe_domain(n), Density(1e-3))
-        want = 1e-3 * lobes_area_closed_form(n)
-        assert got == pytest.approx(want, rel=1e-6)
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 10**7, 2 * 10**7])
+def test_lobes_area_against_quadrature(n):
+    # the closed form against adaptive quadrature of 2*(R-r)^(-1/4)*r over
+    # the annulus (0.9R, R-1)
+    R = n ** (4.0 / 7.0)
+    want, err = quad(lambda r: 2.0 * (R - r) ** -0.25 * r, 0.9 * R, R - 1.0,
+                     epsrel=1e-13, limit=200)
+    assert err <= 1e-13 * want
+    assert regions.area(PolarLobes(n)) == pytest.approx(want, rel=1e-12)
 
 
 def test_lobes_measure_order_theta_eps_n():
@@ -140,14 +135,6 @@ def test_monte_carlo_area_within_3_sigma(region, rng_session):
     assert abs(est - regions.area(region)) <= 3.0 * se
 
 
-def test_custom_region_measure_requires_area():
-    reg = CustomRegion(lambda pts: np.ones(len(pts), bool), Rectangle(1, 1))
-    with pytest.raises(ConfigError):
-        measure(reg, Density(1.0))
-    reg2 = CustomRegion(lambda pts: np.ones(len(pts), bool), Rectangle(1, 1), area=4.0)
-    assert measure(reg2, Density(0.5)) == 2.0
-
-
 def test_polar_lobes_requires_n_min():
     with pytest.raises(ConfigError):
         PolarLobes(5000)
@@ -158,11 +145,30 @@ def test_density_validation():
         Density(-1.0)
 
 
-@given(st.sampled_from(["rectangle", "disk", "polar_lobes"]))
-def test_region_serialization_roundtrip(kind):
-    region = {
-        "rectangle": Rectangle(2.0, 3.5),
-        "disk": Disk(1.25),
-        "polar_lobes": PolarLobes(10**5),
-    }[kind]
-    assert region_from_dict(region_to_dict(region)) == region
+@pytest.mark.parametrize("d, want", [
+    ({"kind": "rectangle", "half_width": 2.0, "half_height": 3.5}, Rectangle(2.0, 3.5)),
+    ({"kind": "disk", "radius": 1}, Disk(1.0)),
+    ({"kind": "polar_lobes", "n_param": 100000}, PolarLobes(10**5)),
+    ({"kind": "polar_lobes", "n_param": 1e5}, PolarLobes(10**5)),
+], ids=["rectangle", "disk", "polar_lobes", "polar_lobes_float"])
+def test_region_from_dict(d, want):
+    assert region_from_dict(d) == want
+
+
+@pytest.mark.parametrize("d", [
+    [1, 2],
+    "disk",
+    {"kind": "hexagon"},
+    {"kind": "disk"},
+    {"kind": "disk", "radius": "x"},
+    {"kind": "disk", "radius": None},
+    {"kind": "disk", "radius": True},
+    {"kind": "disk", "radius": float("inf")},
+    {"kind": "rectangle", "half_width": 1.0, "half_height": float("nan")},
+    {"kind": "rectangle", "half_width": 1.0},
+    {"kind": "polar_lobes", "n_param": 100000.5},
+    {"kind": "polar_lobes", "n_param": float("inf")},
+])
+def test_region_from_dict_rejects_malformed(d):
+    with pytest.raises(ConfigError):
+        region_from_dict(d)

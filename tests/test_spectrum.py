@@ -22,7 +22,7 @@ from tests.conftest import naive_spectrum
 
 def spectrum_of(values) -> DistanceSpectrum:
     arr = np.sort(np.asarray(values, dtype=float))
-    return DistanceSpectrum(arr, 0)
+    return DistanceSpectrum(arr)
 
 
 def test_collinear_triple():
@@ -229,7 +229,6 @@ def test_dump_roundtrip(tmp_path, rng_session):
     write_spectrum(sp, str(path))
     back = read_spectrum(str(path))
     assert np.array_equal(np.asarray(back.values), sp.values)
-    assert back.point_count == 60
     # header: little-endian uint64 count
     raw = path.read_bytes()
     assert int.from_bytes(raw[:8], "little") == sp.m
@@ -252,7 +251,7 @@ def test_dump_bytes_in_any_chunking(tmp_path, rng_session, monkeypatch, window):
 
 def test_truncated_dump_is_config_error(tmp_path):
     path = tmp_path / "spec.bin"
-    write_spectrum(DistanceSpectrum(np.array([1.0, 1.5, 2.0]), 3), str(path))
+    write_spectrum(DistanceSpectrum(np.array([1.0, 1.5, 2.0])), str(path))
     raw = path.read_bytes()
     for cut in (len(raw) - 8, len(raw) - 3, 5):
         path.write_bytes(raw[:cut])
