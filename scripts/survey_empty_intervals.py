@@ -36,15 +36,11 @@ def main(argv: list[str] | None = None) -> int:
     spec = all_pair_distances(
         con.points, memory_budget_bytes=int(args.budget_gib * (1 << 30))
     )
-    m = spec.m
-    try:
-        rows = empty_canonical_survey(spec, args.n, k_max)
-    finally:
-        spec.close()      # a file-backed spectrum is emptied here
+    rows = empty_canonical_survey(spec, args.n, k_max)
     survey_to_csv(rows, args.out)
 
     print(f"n={args.n} seed={args.seed} points={con.realized_points} "
-          f"m={m} k_max={k_max} -> {args.out}")
+          f"m={spec.m} k_max={k_max} -> {args.out}")
     print(f"{'class':>12} {'k':>3} {'count_empty':>12} {'sum_sq':>12}")
     for r in rows:
         print(f"{r.dist_class.value:>12} {r.k:>3} {r.count_empty:>12} {r.sum_sq:>12.6g}")

@@ -26,9 +26,10 @@ comparisons are exact.  A crossing gap needs only the binary exponents
 The audit walks the spectrum in the consumer windows of ``spectrum`` and
 takes the squared gap sum of every window, zeros included, with the same
 ``SquaredGapSum`` as ``gap_stats``, so both report the same sum to the last
-bit.  Per window, one mask selects the positive gaps inside a unit
-interval and each of their arrays is compressed once; the rare crossing
-gaps are taken by index and witnessed in batches.  Every witness is counted
+bit, and the largest gap from the same differences.  Per window, one mask
+selects the positive gaps inside a unit interval and each of their arrays
+is compressed once; the rare crossing gaps are taken by index and
+witnessed in batches.  Every witness is counted
 by its level k (whole unit cells apart), so the witness sum is
 sum(count[k] * 4^-k) + units over exact products, rounded once at the end:
 it depends on neither window nor order.
@@ -42,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from .construction import DistanceClass, nominal_diameter
+from .construction import DistanceClass, class_limits, nominal_diameter
 from .errors import AuditError, ConfigError
 from .spectrum import DistanceSpectrum, SquaredGapSum, iter_windows
 
@@ -58,6 +59,7 @@ _LEVELS = 54
 @dataclass
 class WitnessAudit:
     gap_sum_sq: float
+    max_gap: float
     witness_sum_sq: float
     holds: bool
     gap_count: int
@@ -167,6 +169,7 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
         raise ConfigError(f"audit requires d_min >= 1, got {spectrum.d_min}")
 
     gap_sum = SquaredGapSum()
+    max_gap = 0.0
     levels = np.zeros(_LEVELS, dtype=np.int64)   # witnesses inside a unit interval, per level
     crossings = _Crossings()
     for w in iter_windows(v):
@@ -175,6 +178,7 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
         if not len(g):
             continue
         gap_sum.add(g)
+        max_gap = max(max_gap, float(g.max()))
         fb = b - np.floor(a)
         keep = g > 0.0
         keep &= fb <= 1.0                        # positive, inside one unit interval
@@ -190,6 +194,7 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     witness_sum_sq = _dyadic_sum(levels + crossings.levels, crossings.units)
     return WitnessAudit(
         gap_sum_sq=gap_sum.total,
+        max_gap=max_gap,
         witness_sum_sq=witness_sum_sq,
         holds=gap_sum.total <= 16.0 * witness_sum_sq,
         gap_count=len(v) - 1,
@@ -248,8 +253,7 @@ def empty_canonical_survey(
         raise ConfigError("k_max too deep for this spectrum range (cell ids inexact)")
 
     # class of a unit interval [j, j+1) by its left endpoint, clamped to [1, D]
-    j_mod_hi = math.floor(1.96 * float(n) ** (4.0 / 7.0))
-    j_large_hi = math.floor(D - 3.0)
+    j_mod_hi, j_large_hi = map(math.floor, class_limits(n))
     ranges = [
         (DistanceClass.MODERATE, 1, j_mod_hi),
         (DistanceClass.LARGE, j_mod_hi + 1, j_large_hi),

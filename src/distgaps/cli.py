@@ -96,7 +96,6 @@ def _cmd_spectrum(args) -> int:
         print(line)
     if args.dump:
         spectrum_mod.write_spectrum(spec, args.dump)
-    spec.close()
     return 0
 
 
@@ -157,6 +156,8 @@ def _cmd_nobonds(args) -> int:
 
 
 def _cmd_janson(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     rng = Seed(args.seed).substream("janson").generator()
     failures = 0
     half_exponent_failures = 0

@@ -41,14 +41,20 @@ def nominal_diameter(n: int) -> float:
     return 2.0 * float(n) ** (4.0 / 7.0)
 
 
+def class_limits(n: int) -> tuple[float, float]:
+    """Upper ends (1.96*n^(4/7), D - 3) of the moderate and large classes."""
+    return 1.96 * float(n) ** (4.0 / 7.0), nominal_diameter(n) - 3.0
+
+
 def classify_distance(t: float, n: int) -> DistanceClass:
     """Partition of [1, D]: moderate <= 1.96*n^(4/7) < large <= D-3 < extra large."""
     D = nominal_diameter(n)
     if not (1.0 <= t <= D):
         raise ConfigError(f"distance {t} outside [1, {D}]")
-    if t <= 1.96 * float(n) ** (4.0 / 7.0):
+    moderate_hi, large_hi = class_limits(n)
+    if t <= moderate_hi:
         return DistanceClass.MODERATE
-    if t <= D - 3.0:
+    if t <= large_hi:
         return DistanceClass.LARGE
     return DistanceClass.EXTRA_LARGE
 
@@ -222,7 +228,6 @@ class Construction:
     seed: Seed
     points: np.ndarray            # (N, 2)
     labels: np.ndarray            # (N,) int8, values in PART_CODES
-    raw_counts: dict
     deleted_fraction_rect: float
     deleted_fraction_lobes: float
 
@@ -238,7 +243,7 @@ class Construction:
         return self.points[self.labels == PART_CODES[name]]
 
 
-def assemble(n: int, epsilon: float, seed, *, check: bool = True) -> Construction:
+def assemble(n: int, epsilon: float, seed) -> Construction:
     """Union of the three pruned parts, with the cross-part separation verified.
 
     Pruning is per-part only; a cross-part pair closer than 1 would mean a
@@ -258,15 +263,14 @@ def assemble(n: int, epsilon: float, seed, *, check: bool = True) -> Constructio
     if not np.isfinite(pts).all():
         raise InvariantViolation("non-finite coordinate in construction")
 
-    if check:
-        i, j = close_pairs(pts, 1.0)
-        if len(i):
-            li, lj = labels[i], labels[j]
-            kinds = sorted({(PART_NAMES[int(a)], PART_NAMES[int(b)])
-                            for a, b in zip(li, lj)})
-            raise InvariantViolation(
-                f"{len(i)} point pairs closer than 1 after assembly: {kinds}"
-            )
+    i, j = close_pairs(pts, 1.0)
+    if len(i):
+        li, lj = labels[i], labels[j]
+        kinds = sorted({(PART_NAMES[int(a)], PART_NAMES[int(b)])
+                        for a, b in zip(li, lj)})
+        raise InvariantViolation(
+            f"{len(i)} point pairs closer than 1 after assembly: {kinds}"
+        )
 
     return Construction(
         n_param=n,
@@ -274,11 +278,6 @@ def assemble(n: int, epsilon: float, seed, *, check: bool = True) -> Constructio
         seed=seed,
         points=pts,
         labels=labels,
-        raw_counts={
-            PART_RECT: rect.raw_count,
-            PART_LOBES: lobes.raw_count,
-            PART_CIRCLE: len(circle),
-        },
         deleted_fraction_rect=rect.deleted_fraction,
         deleted_fraction_lobes=lobes.deleted_fraction,
     )

@@ -7,7 +7,10 @@ Otherwise one histogram pass over the row blocks splits them into
 consecutive value ranges ``[lo, hi)`` of at most ``cap`` distances, and
 each range takes one pass: recompute the blocks, copy the distances in the
 range into a chunk sized from the histogram, sort it and append it to one
-temporary file (8 bytes per distance), which backs a read-only memmap.
+unnamed temporary file (8 bytes per distance), which backs a read-only
+memmap.  The file has no name to clean up: the kernel frees it with the
+memmap, when the spectrum goes, and an error or a killed process leaves
+nothing behind.
 
 Histogram bins are prefixes of the float64 bit patterns, which order like
 the values for non-negative floats, so bin ends are floats and a pass
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -56,11 +58,8 @@ class GapStats:
 class DistanceSpectrum:
     """Sorted ascending distances d_1 <= ... <= d_m of an N-point set."""
 
-    def __init__(self, values: np.ndarray, _backing: str | None = None):
+    def __init__(self, values: np.ndarray):
         self.values = values
-        self._backing = _backing
-        if _backing is not None:
-            self._finalizer = weakref.finalize(self, _remove_quiet, _backing)
 
     @property
     def m(self) -> int:
@@ -75,16 +74,10 @@ class DistanceSpectrum:
         return float(self.values[-1])
 
     def close(self) -> None:
-        if self._backing is not None:
+        """Drop a file-backed spectrum's mapping, and so its file, before the
+        spectrum itself goes; an in-memory spectrum keeps its values."""
+        if isinstance(self.values, np.memmap):
             self.values = np.empty(0)
-            self._finalizer()
-
-
-def _remove_quiet(path: str) -> None:
-    try:
-        os.remove(path)
-    except OSError:
-        pass
 
 
 def _row_prefix(n: int, i: int) -> int:
@@ -141,29 +134,27 @@ def all_pair_distances(
         return DistanceSpectrum(out)
 
     bins = _bins(x, y, rows_per_block, cap, 0, 63)     # 0 << 63: every distance
-    fd, path = tempfile.mkstemp(suffix=".spectrum")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for lo, hi, count in _merge_bins(bins, cap):
-                if hi == np.nextafter(lo, math.inf):
-                    # one float value: nothing to recompute or sort
-                    for start in range(0, count, cap):
-                        np.full(min(cap, count - start), lo).tofile(fh)
-                    continue
-                chunk = np.empty(count)
-                pos = 0
-                for block in _blocks(x, y, rows_per_block):
-                    part = _select(block, lo, hi)
-                    chunk[pos:pos + len(part)] = part
-                    pos += len(part)
-                assert pos == count
-                chunk.sort()
-                chunk.tofile(fh)
-        values = np.memmap(path, dtype=np.float64, mode="r")
-    except BaseException:
-        _remove_quiet(path)
-        raise
-    return DistanceSpectrum(values, _backing=path)
+    # an unnamed file: the kernel frees it with its last descriptor or
+    # mapping, so neither an error nor a killed process leaves it behind
+    with tempfile.TemporaryFile() as fh:
+        for lo, hi, count in _merge_bins(bins, cap):
+            if hi == np.nextafter(lo, math.inf):
+                # one float value: nothing to recompute or sort
+                for start in range(0, count, cap):
+                    np.full(min(cap, count - start), lo).tofile(fh)
+                continue
+            chunk = np.empty(count)
+            pos = 0
+            for block in _blocks(x, y, rows_per_block):
+                part = _select(block, lo, hi)
+                chunk[pos:pos + len(part)] = part
+                pos += len(part)
+            assert pos == count
+            chunk.sort()
+            chunk.tofile(fh)
+        fh.flush()
+        # the mapping keeps its own reference to the file
+        return DistanceSpectrum(np.memmap(fh, dtype=np.float64, mode="r"))
 
 
 def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:

@@ -284,6 +284,7 @@ def test_audit_gap_sum_is_gap_stats(rng_session, monkeypatch, window):
     sp = spectrum_of(vals)
     audit, gs = audit_gap_witnesses(sp), gap_stats(sp)
     assert audit.gap_sum_sq == gs.gap_sum_sq
+    assert audit.max_gap == gs.max_gap == np.diff(vals).max()
     assert audit.gap_count == gs.gap_count == len(vals) - 1
     assert audit.positive_gap_count == np.count_nonzero(np.diff(vals))
 

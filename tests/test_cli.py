@@ -83,6 +83,13 @@ def test_janson_verify_ground_set_range(capsys, max_ground_set):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_janson_verify_needs_an_instance(capsys, instances):
+    rc = main(["janson-verify", "--instances", instances])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_nobonds_verify_command(capsys):
     rc = main([
         "nobonds-verify", "--region", '{"kind": "rectangle", "half_width": 0.5, "half_height": 0.5}',

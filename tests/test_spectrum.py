@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -56,9 +60,14 @@ def test_external_engine_equals_packed(rng_session):
     pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
     packed = all_pair_distances(pts, memory_budget_bytes=1 << 30)
     external = all_pair_distances(pts, memory_budget_bytes=1 << 22)
-    assert external._backing is not None
+    assert isinstance(external.values, np.memmap)
     assert np.array_equal(packed.values, np.asarray(external.values))
+    # close() drops a file-backed spectrum's values and keeps in-memory ones
+    values, m = packed.values, packed.m
+    packed.close()
+    assert packed.values is values and packed.m == m
     external.close()
+    assert not isinstance(external.values, np.memmap) and external.m == 0
 
 
 _CAP_4MIB = int(0.75 * (1 << 22)) // 8
@@ -137,7 +146,6 @@ def test_failed_pass_leaves_no_file(tmp_path, monkeypatch, rng_session):
         if i0 == 0:
             passes.append(i0)
             if len(passes) == 3:        # histogram, first range, second range
-                assert list(tmp_path.glob("*.spectrum"))
                 raise OSError("disk full")
         fill(block, x, y, i0, i1)
 
@@ -145,6 +153,30 @@ def test_failed_pass_leaves_no_file(tmp_path, monkeypatch, rng_session):
     with pytest.raises(OSError, match="disk full"):
         all_pair_distances(pts, memory_budget_bytes=1 << 22)
     assert len(passes) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+_SPILL_THEN_KILL = """
+import os, signal, sys
+import numpy as np
+from distgaps.spectrum import all_pair_distances
+pts = np.random.default_rng(3).uniform(0.0, 50.0, size=(900, 2))
+sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
+print(isinstance(sp.values, np.memmap), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_killed_run_leaves_no_file(tmp_path):
+    # the process dies with a file-backed spectrum alive: no cleanup code runs
+    import distgaps
+
+    src = os.path.dirname(os.path.dirname(distgaps.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", _SPILL_THEN_KILL], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == -signal.SIGKILL, out.stderr
+    assert out.stdout.strip() == "True"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -240,7 +272,7 @@ def test_dump_bytes_in_any_chunking(tmp_path, rng_session, monkeypatch, window):
     # gives the count header and the values as little-endian float64
     pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
     sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
-    assert sp._backing is not None
+    assert isinstance(sp.values, np.memmap)
     monkeypatch.setattr(spectrum, "_WINDOW", window)
     path = tmp_path / "spec.bin"
     write_spectrum(sp, str(path))
