@@ -28,11 +28,12 @@ takes the squared gap sum of every window, zeros included, with the same
 ``SquaredGapSum`` as ``gap_stats``, so both report the same sum to the last
 bit, and the largest gap from the same differences.  Per window, one mask
 selects the positive gaps inside a unit interval and each of their arrays
-is compressed once; the rare crossing gaps are taken by index and
-witnessed in batches.  Every witness is counted
-by its level k (whole unit cells apart), so the witness sum is
-sum(count[k] * 4^-k) + units over exact products, rounded once at the end:
-it depends on neither window nor order.
+is compressed once.  A crossing gap contains an integer, so there is at
+most one per integer below d_max; they are kept until the walk ends and
+witnessed in one call.  Every witness is counted by its level k (whole
+unit cells apart), so the witness sum is sum(count[k] * 4^-k) + units over
+exact products, rounded once at the end: it depends on neither window nor
+order.
 """
 from __future__ import annotations
 
@@ -113,41 +114,6 @@ def _crossing_witnesses(j: np.ndarray, fa: np.ndarray, fb: np.ndarray
     return kl, top - 1.0, kr
 
 
-class _Crossings:
-    """Gaps crossing integers, gathered across windows and witnessed in
-    batches of about one consumer window: they are rare, so one closed-form
-    call per window would cost more in calls than in arithmetic."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.gap_sum = SquaredGapSum()
-        self.levels = np.zeros(_LEVELS, dtype=np.int64)   # end pieces per level
-        self.units = 0                                    # whole unit cells
-        self._a: list[np.ndarray] = []
-        self._b: list[np.ndarray] = []
-        self._pending = 0
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        self._a.append(a)
-        self._b.append(b)
-        self._pending += len(a)
-        if self._pending >= spectrum_mod._WINDOW:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._a:
-            return
-        a, b = np.concatenate(self._a), np.concatenate(self._b)
-        self._a, self._b, self._pending = [], [], 0
-        self.count += len(a)
-        self.gap_sum.add(b - a)
-        j = np.floor(a)
-        kl, units, kr = _crossing_witnesses(j, a - j, b - j)
-        self.levels += np.bincount(kl, minlength=_LEVELS)
-        self.levels += np.bincount(kr, minlength=_LEVELS)
-        self.units += int(units.sum())          # integers below 2^53: exact
-
-
 def _dyadic_sum(levels: np.ndarray, units: int) -> float:
     """sum(levels[k] * 4^-k) + units, rounded once: each product is exact."""
     return math.fsum([float(units)] + [int(c) * math.ldexp(1.0, -2 * k)
@@ -171,7 +137,8 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     gap_sum = SquaredGapSum()
     max_gap = 0.0
     levels = np.zeros(_LEVELS, dtype=np.int64)   # witnesses inside a unit interval, per level
-    crossings = _Crossings()
+    cross_a: list[np.ndarray] = []               # crossing gaps, at most one per integer
+    cross_b: list[np.ndarray] = []
     for w in iter_windows(v):
         a, b = w[:-1], w[1:]
         g = b - a
@@ -186,22 +153,33 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
         jk = np.floor(ak)
         k, _ = _unit_witnesses(jk, ak - jk, fb[keep])
         levels += np.bincount(k, minlength=_LEVELS)
-        cross = np.flatnonzero(fb > 1.0)         # positive, crossing an integer
-        if len(cross):
-            crossings.add(a[cross], b[cross])
-    crossings.flush()
+        cross = fb > 1.0                         # positive, crossing an integer
+        if cross.any():
+            cross_a.append(a[cross])
+            cross_b.append(b[cross])
 
-    witness_sum_sq = _dyadic_sum(levels + crossings.levels, crossings.units)
+    a = np.concatenate(cross_a) if cross_a else np.empty(0)
+    b = np.concatenate(cross_b) if cross_b else np.empty(0)
+    j = np.floor(a)
+    kl, units, kr = _crossing_witnesses(j, a - j, b - j)
+    cross_levels = np.bincount(np.concatenate([kl, kr]), minlength=_LEVELS)
+    cross_units = int(units.sum())               # integers below 2^53: exact
+    cross_g = b - a
+    cross_sum = SquaredGapSum()                  # one window per np.dot, as in the walk
+    for i in range(0, len(cross_g), spectrum_mod._WINDOW):
+        cross_sum.add(cross_g[i:i + spectrum_mod._WINDOW])
+
+    witness_sum_sq = _dyadic_sum(levels + cross_levels, cross_units)
     return WitnessAudit(
         gap_sum_sq=gap_sum.total,
         max_gap=max_gap,
         witness_sum_sq=witness_sum_sq,
         holds=gap_sum.total <= 16.0 * witness_sum_sq,
         gap_count=len(v) - 1,
-        positive_gap_count=int(levels.sum()) + crossings.count,
-        crossing_count=crossings.count,
-        crossing_gap_sum_sq=crossings.gap_sum.total,
-        crossing_witness_sum_sq=_dyadic_sum(crossings.levels, crossings.units),
+        positive_gap_count=int(levels.sum()) + len(cross_g),
+        crossing_count=len(cross_g),
+        crossing_gap_sum_sq=cross_sum.total,
+        crossing_witness_sum_sq=_dyadic_sum(cross_levels, cross_units),
     )
 
 

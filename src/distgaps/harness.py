@@ -5,7 +5,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,13 +24,6 @@ from .spectrum import (
 )
 
 MIN_DISTANCE_TOLERANCE = 1e-12
-
-CSV_FIELDS = [
-    "n_param", "epsilon", "seed", "realized_points", "diameter_nominal",
-    "d_min", "d_max", "gap_sum_sq", "max_gap", "count_top_interval",
-    "gap_bound_holds", "deleted_fraction_rect", "deleted_fraction_lobes",
-    "elapsed_ms",
-]
 
 
 @dataclass
@@ -62,6 +55,9 @@ class RunRecord:
             raise InvariantViolation(
                 f"gap_sum_sq {self.gap_sum_sq!r} below the equal-spacing bound {bound!r}"
             )
+
+
+CSV_FIELDS = [f.name for f in fields(RunRecord)]
 
 
 @dataclass
@@ -265,26 +261,14 @@ def record_to_csv_row(rec: RunRecord) -> list[str]:
     return out
 
 
+# a CSV cell back to a RunRecord field, by the field's annotation
+_FROM_CSV = {"int": int, "float": float, "bool": lambda s: s == "true"}
+
+
 def record_from_csv_row(row: Sequence[str]) -> RunRecord:
     if len(row) != len(CSV_FIELDS):
         raise ConfigError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-    d = dict(zip(CSV_FIELDS, row))
-    return RunRecord(
-        n_param=int(d["n_param"]),
-        epsilon=float(d["epsilon"]),
-        seed=int(d["seed"]),
-        realized_points=int(d["realized_points"]),
-        diameter_nominal=float(d["diameter_nominal"]),
-        d_min=float(d["d_min"]),
-        d_max=float(d["d_max"]),
-        gap_sum_sq=float(d["gap_sum_sq"]),
-        max_gap=float(d["max_gap"]),
-        count_top_interval=int(d["count_top_interval"]),
-        gap_bound_holds=d["gap_bound_holds"] == "true",
-        deleted_fraction_rect=float(d["deleted_fraction_rect"]),
-        deleted_fraction_lobes=float(d["deleted_fraction_lobes"]),
-        elapsed_ms=int(d["elapsed_ms"]),
-    )
+    return RunRecord(**{f.name: _FROM_CSV[f.type](v) for f, v in zip(fields(RunRecord), row)})
 
 
 def write_records_csv(records: Iterable[RunRecord], path: str) -> None:

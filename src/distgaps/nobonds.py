@@ -36,6 +36,8 @@ from .poisson import as_seed, sample_poisson, uniform_in_region
 from .regions import Density, Region
 
 _WILSON_Z99 = 2.5758293035489004
+_JANSON_SLACK = 1e-9            # absolute slack of janson_exact's comparisons
+_MAX_REL_STDERR = 0.05          # largest relative stderr of mu estimate_mu_nu accepts
 # janson_exact enumerates all 2**nv subsets of the ground set
 MAX_GROUND_SET = 20
 
@@ -80,7 +82,7 @@ class JansonExactResult:
     bounds_hold_half_exponent: bool
 
 
-def janson_exact(instance: JansonInstance, slack: float = 1e-9) -> JansonExactResult:
+def janson_exact(instance: JansonInstance) -> JansonExactResult:
     """Exact subset enumeration vs the two-sided Janson bracket.
 
     The pair term enters the classical multiplicative bound through the sum
@@ -125,7 +127,7 @@ def janson_exact(instance: JansonInstance, slack: float = 1e-9) -> JansonExactRe
 
     upper = m_lower * math.exp(2.0 * nu / (2.0 - 2.0 * eps_hat))
     upper_half = m_lower * math.exp(nu / (2.0 - 2.0 * eps_hat))
-    lower_ok = m_lower <= p_exact + slack
+    lower_ok = m_lower <= p_exact + _JANSON_SLACK
     return JansonExactResult(
         m_lower=m_lower,
         nu=nu,
@@ -133,8 +135,8 @@ def janson_exact(instance: JansonInstance, slack: float = 1e-9) -> JansonExactRe
         epsilon_hat=eps_hat,
         upper=upper,
         upper_half_exponent=upper_half,
-        bounds_hold=lower_ok and p_exact <= upper + slack,
-        bounds_hold_half_exponent=lower_ok and p_exact <= upper_half + slack,
+        bounds_hold=lower_ok and p_exact <= upper + _JANSON_SLACK,
+        bounds_hold_half_exponent=lower_ok and p_exact <= upper_half + _JANSON_SLACK,
     )
 
 
@@ -196,7 +198,6 @@ class NoBondsVerdict:
 
 def estimate_mu_nu(
     region: Region, epsilon: float, bond: BondSpec, samples: int, seed,
-    *, max_rel_stderr: float = 0.05,
 ) -> MuNuEstimate:
     """Monte Carlo mu and nu with standard errors; deterministic given seed."""
     if samples < 10_000:
@@ -236,9 +237,9 @@ def estimate_mu_nu(
             "no bond hits at the requested sample count; "
             "mu is indistinguishable from zero"
         )
-    if mu_se / mu > max_rel_stderr:
+    if mu_se / mu > _MAX_REL_STDERR:
         raise ConvergenceError(
-            f"relative stderr {mu_se / mu:.3f} exceeds {max_rel_stderr} "
+            f"relative stderr {mu_se / mu:.3f} exceeds {_MAX_REL_STDERR} "
             f"at {samples} samples"
         )
     return MuNuEstimate(mu, nu, mu_se, nu_se, samples)

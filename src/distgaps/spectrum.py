@@ -315,7 +315,9 @@ def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
 
 
 def read_spectrum(path: str) -> DistanceSpectrum:
-    """Map a dump read-only, so reading it holds no copy of the values."""
+    """Map a dump read-only, so reading it holds no copy of the values, and
+    check in one pass of windows that the values ascend and are finite: a
+    NaN fails the ordering test, so finite ends make every value finite."""
     size = os.path.getsize(path)
     if size < 8:
         raise ConfigError(f"spectrum file {path}: no count header")
@@ -324,4 +326,9 @@ def read_spectrum(path: str) -> DistanceSpectrum:
     if size - 8 != 8 * count:
         raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
     values = np.memmap(path, dtype="<f8", mode="r", offset=8, shape=(count,))
+    for w in iter_windows(values):
+        if not (w[1:] >= w[:-1]).all():
+            raise ConfigError(f"spectrum file {path}: values are not ascending or hold a NaN")
+    if count and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        raise ConfigError(f"spectrum file {path}: values are not finite")
     return DistanceSpectrum(values)

@@ -456,6 +456,41 @@ def test_gap_witnesses_match_fraction_oracle(gaps):
     assert cross.tolist() == [c == 1 for _, c in want]
 
 
+def _seam_spectrum(rng: np.random.Generator) -> np.ndarray:
+    """Sorted values in [2.75, 16003] with more crossing gaps than a default
+    window holds: integers (some tied, the last one d_max), fixed fractions
+    above them and empty runs of units, so gaps end on an integer, start on
+    one, or cross one or several."""
+    j = np.arange(3, 16003)
+    present = j[rng.random(len(j)) < 0.85]         # the rest leave empty units
+    ints = present[rng.random(len(present)) < 0.25].astype(float)
+    fracs = np.array([0.125, 0.3, 0.5, 0.9, 0.99])
+    inner = (present[:, None] + fracs)[rng.random((len(present), len(fracs))) < 0.3]
+    return np.sort(np.concatenate([[2.75, 16003.0], ints, np.repeat(ints[::7], 2), inner]))
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 311, 1 << 13])
+def test_audit_crossings_across_window_seams(rng_session, monkeypatch, window):
+    vals = _seam_spectrum(rng_session)
+    a, b = vals[:-1], vals[1:]
+    pos = b > a
+    wsq, cross = kernel_per_gap(a[pos], b[pos])
+    ap, bp = a[pos][cross], b[pos][cross]
+    assert cross.sum() > 1 << 13
+    assert (np.floor(ap) == ap).any()                      # crossings from an integer
+    assert (np.ceil(bp) - np.floor(ap) > 2).any()          # across several integers
+    assert ((b == np.floor(b)) & (a < b) & (b - np.floor(a) == 1.0)).any()   # fb == 1
+    assert ((a == b) & (a == np.floor(a))).any()           # ties at integers
+    monkeypatch.setattr(spectrum, "_WINDOW", window)
+    audit = audit_gap_witnesses(spectrum_of(vals))
+    assert audit.crossing_count == cross.sum()
+    assert audit.positive_gap_count == pos.sum()
+    # the witness lengths sit on a coarse grid, so every term and sum is exact
+    assert audit.crossing_witness_sum_sq == math.fsum(wsq[cross])
+    assert audit.witness_sum_sq == math.fsum(wsq)
+    assert audit.crossing_gap_sum_sq == pytest.approx(np.dot(bp - ap, bp - ap), rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # survey
 # ---------------------------------------------------------------------------

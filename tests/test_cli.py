@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from distgaps import construction
 from distgaps.cli import main
 from distgaps.poisson import Seed
-from distgaps.spectrum import read_spectrum
+from distgaps.spectrum import DistanceSpectrum, read_spectrum, write_spectrum
 
 
 def test_construct_and_spectrum_roundtrip(tmp_path, capsys):
@@ -66,6 +68,18 @@ def test_one_gap_sum_across_commands(tmp_path, capsys):
     assert main(["canonical-audit", "--spectrum-file", str(dump)]) == 0
     audited = json.loads(capsys.readouterr().out.strip())["gap_sum_sq"]
     assert constructed == float(summary["gap_sum_sq"]) == audited
+
+
+@pytest.mark.parametrize("values", [
+    [1.5, 1.2, 3.0, 3.1], [1.5, 2.0, math.inf], [1.5, math.nan, 3.0],
+], ids=["unsorted", "inf", "nan"])
+def test_canonical_audit_rejects_bad_dump(tmp_path, capsys, values):
+    dump = tmp_path / "spec.bin"
+    write_spectrum(DistanceSpectrum(np.array(values)), str(dump))
+    assert main(["canonical-audit", "--spectrum-file", str(dump)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error" in err
 
 
 def test_janson_verify_command(capsys):

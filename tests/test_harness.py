@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ def test_validate_rejects_bad_records():
         rec.validate()     # below the equal-spacing bound
 
 
+# the run-record header as the README documents it
+README_RECORD_HEADER = (
+    "n_param,epsilon,seed,realized_points,diameter_nominal,d_min,d_max,gap_sum_sq,"
+    "max_gap,count_top_interval,gap_bound_holds,deleted_fraction_rect,"
+    "deleted_fraction_lobes,elapsed_ms"
+)
+
+
 def test_csv_roundtrip(tmp_path):
     rec = run_construct(2 * 10**4, 1e-3, Seed(5))
     row = record_to_csv_row(rec)
@@ -117,7 +126,9 @@ def test_csv_roundtrip(tmp_path):
     got = read_records_csv(str(path))
     assert got == [rec, rec]
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(CSV_FIELDS)
+    assert header == README_RECORD_HEADER
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    assert f"`{README_RECORD_HEADER}`" in readme
 
 
 def test_json_record_fields():
