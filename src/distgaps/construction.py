@@ -46,19 +46,6 @@ def class_limits(n: int) -> tuple[float, float]:
     return 1.96 * float(n) ** (4.0 / 7.0), nominal_diameter(n) - 3.0
 
 
-def classify_distance(t: float, n: int) -> DistanceClass:
-    """Partition of [1, D]: moderate <= 1.96*n^(4/7) < large <= D-3 < extra large."""
-    D = nominal_diameter(n)
-    if not (1.0 <= t <= D):
-        raise ConfigError(f"distance {t} outside [1, {D}]")
-    moderate_hi, large_hi = class_limits(n)
-    if t <= moderate_hi:
-        return DistanceClass.MODERATE
-    if t <= large_hi:
-        return DistanceClass.LARGE
-    return DistanceClass.EXTRA_LARGE
-
-
 # ---------------------------------------------------------------------------
 # Uniform-grid close-pair machinery
 # ---------------------------------------------------------------------------
@@ -142,18 +129,6 @@ def prune_close_pairs(points: np.ndarray, threshold: float) -> np.ndarray:
     drop[i] = True
     drop[j] = True
     return pts[~drop]
-
-
-def min_pairwise_distance(points: np.ndarray, cutoff: float) -> float:
-    """Minimum pairwise distance if it is below cutoff, else +inf."""
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        return math.inf
-    i, j = close_pairs(pts, cutoff)
-    if len(i) == 0:
-        return math.inf
-    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
-    return float(np.sqrt(d2.min()))
 
 
 # ---------------------------------------------------------------------------

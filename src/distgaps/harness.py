@@ -261,14 +261,26 @@ def record_to_csv_row(rec: RunRecord) -> list[str]:
     return out
 
 
+def _bool_cell(s: str) -> bool:
+    if s not in ("true", "false"):
+        raise ValueError(s)
+    return s == "true"
+
+
 # a CSV cell back to a RunRecord field, by the field's annotation
-_FROM_CSV = {"int": int, "float": float, "bool": lambda s: s == "true"}
+_FROM_CSV = {"int": int, "float": float, "bool": _bool_cell}
 
 
 def record_from_csv_row(row: Sequence[str]) -> RunRecord:
     if len(row) != len(CSV_FIELDS):
         raise ConfigError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-    return RunRecord(**{f.name: _FROM_CSV[f.type](v) for f, v in zip(fields(RunRecord), row)})
+    vals = {}
+    for f, v in zip(fields(RunRecord), row):
+        try:
+            vals[f.name] = _FROM_CSV[f.type](v)
+        except ValueError:
+            raise ConfigError(f"column {f.name!r}: {v!r} is not a valid {f.type}") from None
+    return RunRecord(**vals)
 
 
 def write_records_csv(records: Iterable[RunRecord], path: str) -> None:

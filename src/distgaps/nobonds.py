@@ -38,6 +38,9 @@ from .regions import Density, Region
 _WILSON_Z99 = 2.5758293035489004
 _JANSON_SLACK = 1e-9            # absolute slack of janson_exact's comparisons
 _MAX_REL_STDERR = 0.05          # largest relative stderr of mu estimate_mu_nu accepts
+# count_bonds compares all n^2 ordered pairs up to this n (a few MB of
+# temporaries) and uses the close-pair grid above it
+_BRUTE_MAX_POINTS = 512
 # janson_exact enumerates all 2**nv subsets of the ground set
 MAX_GROUND_SET = 20
 
@@ -262,13 +265,15 @@ def count_bonds(points: np.ndarray, bond: BondSpec) -> int:
     n = len(pts)
     if n < 2:
         return 0
-    if n <= 1500:
-        count = 0
+    if n <= _BRUTE_MAX_POINTS:
         lo2, hi2 = bond.lo**2, bond.hi**2
-        for r in range(n - 1):
-            d2 = ((pts[r + 1:] - pts[r]) ** 2).sum(axis=1)
-            count += int(((d2 >= lo2) & (d2 < hi2)).sum())
-        return count
+        dx = pts[:, 0, None] - pts[:, 0]
+        dy = pts[:, 1, None] - pts[:, 1]
+        d2 = dx * dx + dy * dy
+        # d2 is exactly symmetric (a negated difference squares to the same
+        # value), so ordered hits less the diagonal count each pair twice
+        hits = int(np.count_nonzero((d2 >= lo2) & (d2 < hi2)))
+        return (hits - (n if lo2 <= 0.0 < hi2 else 0)) // 2
     i, j = close_pairs(pts, bond.hi)
     if not len(i):
         return 0

@@ -2,10 +2,15 @@
 
 The point count is Poisson with mean equal to the region's measure; given
 the count, points are i.i.d. uniform over the region, drawn by rejection
-from the bounding box.  Separate named substreams drive the count draw and
-the point placement, so a sample is a pure function of (seed, region,
-density) and is reproducible across platforms (Philox keyed through
-``numpy.random.SeedSequence`` with a CRC32 of the stream label).
+from the bounding box.  The accepted points of a batch are kept in draw
+order, up to the count still missing, by one index gather.  The lobes'
+membership test prefilters on a widened radial band (see ``regions``) but
+makes the exact test's decisions, so every draw, and the generator's state
+after a call, are as without the prefilter.  Separate named substreams
+drive the count draw and the point placement, so a sample is a pure
+function of (seed, region, density) and is reproducible across platforms
+(Philox keyed through ``numpy.random.SeedSequence`` with a CRC32 of the
+stream label).
 """
 from __future__ import annotations
 
@@ -65,9 +70,13 @@ def uniform_in_region(
         pts = np.empty((batch, 2))
         pts[:, 0] = rng.uniform(-box.half_width, box.half_width, batch)
         pts[:, 1] = rng.uniform(-box.half_height, box.half_height, batch)
-        keep = pts if exact else pts[regions.contains(region, pts)]
-        take = min(count - got, len(keep))
-        out[got:got + take] = keep[:take]
+        if exact:
+            take = min(count - got, batch)
+            out[got:got + take] = pts[:take]
+        else:
+            idx = np.flatnonzero(regions.contains(region, pts))[:count - got]
+            take = len(idx)
+            out[got:got + take] = pts[idx]
         got += take
         attempted += batch
         if attempted >= 10_000_000 and got / attempted < _MIN_ACCEPT_RATE:

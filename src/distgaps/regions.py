@@ -8,6 +8,14 @@ construction: radii strictly between ``0.9*R`` and ``R - 1`` (with
 directions {0, pi} strictly below ``0.5*(R - r)**(-1/4)``.
 The lobes widen toward the outer radius and never wrap (max half-width 0.5
 radian), so the two antipodal wedges are disjoint.
+
+The lobe membership test first keeps the points whose ``s = x*x + y*y``
+lies in the band ``(0.9R)^2 (1 - 1e-12) < s < (R-1)^2 (1 + 1e-12)``, about a
+tenth of the bounding box, and runs the exact ``hypot``/``arctan2`` test on
+those only.  ``s`` and ``hypot`` are each within a few ulps of the true
+r^2 and r, far inside the 1e-12 widening, so no point that the exact test
+accepts is dropped by the band: the decisions are those of the exact test
+alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -22,6 +30,9 @@ from .errors import ConfigError
 # Below this construction parameter the lobes degenerate (the annulus
 # 0.9*R < r < R-1 becomes too thin for the separation guarantees).
 N_MIN = 10_000
+
+# relative widening of the lobes' radial band when it is tested on x*x + y*y
+_BAND_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,13 +107,20 @@ def contains(region: Region, p) -> bool | np.ndarray:
         out = x * x + y * y <= region.radius * region.radius
     elif isinstance(region, PolarLobes):
         R = region.outer_radius
-        r = np.hypot(x, y)
-        radial = (r > 0.9 * R) & (r < R - 1.0)
+        lo, hi = 0.9 * R, R - 1.0
+        s = np.multiply(x, x)
+        s += y * y
+        # band prefilter on s ~ r^2, widened far beyond its few-ulp error;
+        # the exact test below runs on the survivors only
+        cand = np.flatnonzero((s > lo * lo * (1.0 - _BAND_MARGIN))
+                              & (s < hi * hi * (1.0 + _BAND_MARGIN)))
+        r = np.hypot(x[cand], y[cand])
+        radial = (r > lo) & (r < hi)
+        cand, r = cand[radial], r[radial]
+        theta = np.arctan2(y[cand], x[cand])
+        axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
         out = np.zeros(len(pts), dtype=bool)
-        if radial.any():
-            theta = np.arctan2(y[radial], x[radial])
-            axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
-            out[radial] = axis_dist < 0.5 * (R - r[radial]) ** -0.25
+        out[cand] = axis_dist < 0.5 * (R - r) ** -0.25
     else:
         raise ConfigError(f"unknown region type {type(region)!r}")
     return bool(out[0]) if scalar else out

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from distgaps import regions
+from distgaps.construction import close_pairs
+from distgaps.errors import ConfigError, DegenerateRegionError
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -42,6 +46,73 @@ def brute_prune(points, threshold) -> np.ndarray:
                     keep[i] = False
                     break
     return pts[keep]
+
+
+def min_pairwise_distance(points, cutoff: float) -> float:
+    """Minimum pairwise distance if it is below cutoff, else +inf."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        return math.inf
+    i, j = close_pairs(pts, cutoff)
+    if len(i) == 0:
+        return math.inf
+    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    return float(np.sqrt(d2.min()))
+
+
+# ---------------------------------------------------------------------------
+# Sampling oracles: the membership test and the rejection sampler as they
+# were before the lobes' band prefilter and the index gathers.  The library
+# must reproduce them bit for bit, random draws included.
+# ---------------------------------------------------------------------------
+
+
+def oracle_contains(region, p):
+    """Membership test; closed for Rectangle/Disk, strict for PolarLobes."""
+    pts, scalar = regions._as_points(p)
+    x, y = pts[:, 0], pts[:, 1]
+    if isinstance(region, regions.Rectangle):
+        out = (np.abs(x) <= region.half_width) & (np.abs(y) <= region.half_height)
+    elif isinstance(region, regions.Disk):
+        out = x * x + y * y <= region.radius * region.radius
+    elif isinstance(region, regions.PolarLobes):
+        R = region.outer_radius
+        r = np.hypot(x, y)
+        radial = (r > 0.9 * R) & (r < R - 1.0)
+        out = np.zeros(len(pts), dtype=bool)
+        if radial.any():
+            theta = np.arctan2(y[radial], x[radial])
+            axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
+            out[radial] = axis_dist < 0.5 * (R - r[radial]) ** -0.25
+    else:
+        raise ConfigError(f"unknown region type {type(region)!r}")
+    return bool(out[0]) if scalar else out
+
+
+def oracle_uniform_in_region(region, count: int, rng) -> np.ndarray:
+    """Draw ``count`` i.i.d. uniform points by bounding-box rejection."""
+    if count == 0:
+        return np.empty((0, 2))
+    box = regions.bounding_box(region)
+    exact = isinstance(region, regions.Rectangle)
+    out = np.empty((count, 2))
+    got = 0
+    attempted = 0
+    batch = max(1024, 2 * count)
+    while got < count:
+        pts = np.empty((batch, 2))
+        pts[:, 0] = rng.uniform(-box.half_width, box.half_width, batch)
+        pts[:, 1] = rng.uniform(-box.half_height, box.half_height, batch)
+        keep = pts if exact else pts[oracle_contains(region, pts)]
+        take = min(count - got, len(keep))
+        out[got:got + take] = keep[:take]
+        got += take
+        attempted += batch
+        if attempted >= 10_000_000 and got / attempted < 1e-4:
+            raise DegenerateRegionError(
+                f"acceptance rate {got / attempted:.2e} below {1e-4}"
+            )
+    return out
 
 
 @pytest.fixture(scope="session")

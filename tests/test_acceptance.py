@@ -33,7 +33,6 @@ from distgaps.construction import (
     build_circle_points,
     build_lobe_points,
     build_rect_points,
-    min_pairwise_distance,
     nominal_diameter,
 )
 from distgaps.harness import fit_exponent, run_scaling
@@ -49,6 +48,7 @@ from distgaps.nobonds import (
 )
 from distgaps.poisson import Seed
 from distgaps.spectrum import DistanceSpectrum, equal_spacing_lower_bound
+from tests.conftest import min_pairwise_distance
 
 GRID = [100_000, 300_000, 1_000_000, 3_000_000]
 SEEDS_PER_N = 3

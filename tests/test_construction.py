@@ -10,18 +10,30 @@ from distgaps.construction import (
     build_circle_points,
     build_lobe_points,
     build_rect_points,
-    classify_distance,
+    class_limits,
     close_pairs,
     export_points,
     load_points,
-    min_pairwise_distance,
     nominal_diameter,
     prune_close_pairs,
 )
 from distgaps.errors import ConfigError
 from distgaps.poisson import Seed, sample_poisson
 from distgaps.regions import Density, Rectangle
-from tests.conftest import brute_prune
+from tests.conftest import brute_prune, min_pairwise_distance
+
+
+def classify_distance(t: float, n: int) -> DistanceClass:
+    """Partition of [1, D]: moderate <= 1.96*n^(4/7) < large <= D-3 < extra large."""
+    D = nominal_diameter(n)
+    if not (1.0 <= t <= D):
+        raise ConfigError(f"distance {t} outside [1, {D}]")
+    moderate_hi, large_hi = class_limits(n)
+    if t <= moderate_hi:
+        return DistanceClass.MODERATE
+    if t <= large_hi:
+        return DistanceClass.LARGE
+    return DistanceClass.EXTRA_LARGE
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,28 @@ def test_csv_roundtrip(tmp_path):
     assert f"`{README_RECORD_HEADER}`" in readme
 
 
+@pytest.mark.parametrize("column, cell", [
+    ("gap_bound_holds", "True"),
+    ("gap_bound_holds", "yes"),
+    ("gap_bound_holds", "abc"),
+    ("realized_points", "abc"),
+    ("realized_points", "1.5"),
+    ("gap_sum_sq", "abc"),
+])
+def test_csv_row_rejects_malformed_cell(column, cell):
+    rec = RunRecord(
+        n_param=10**4, epsilon=1e-3, seed=1, realized_points=10, diameter_nominal=10.0,
+        d_min=1.0, d_max=9.0, gap_sum_sq=1.0, max_gap=0.5, count_top_interval=0,
+        gap_bound_holds=True, deleted_fraction_rect=0.0, deleted_fraction_lobes=0.0,
+        elapsed_ms=1,
+    )
+    row = record_to_csv_row(rec)
+    assert record_from_csv_row(row) == rec
+    row[CSV_FIELDS.index(column)] = cell
+    with pytest.raises(ConfigError, match=column):
+        record_from_csv_row(row)
+
+
 def test_json_record_fields():
     rec = run_construct(2 * 10**4, 1e-3, Seed(7))
     data = json.loads(record_to_json(rec))

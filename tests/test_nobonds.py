@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distgaps import nobonds
 from distgaps.construction import DistanceClass
 from distgaps.errors import ConfigError, ConvergenceError
 from distgaps.nobonds import (
@@ -192,6 +193,47 @@ def test_count_bonds_brute_and_grid_agree(rng_session):
         d2 = ((pts[r + 1:] - pts[r]) ** 2).sum(axis=1)
         brute += int(((d2 >= lo2) & (d2 < hi2)).sum())
     assert count_bonds(pts, bond) == brute
+
+
+def brute_bond_count(points, bond: BondSpec) -> int:
+    """Oracle: unordered pairs with lo^2 <= d^2 < hi^2, one pair at a time."""
+    pts = [(float(x), float(y)) for x, y in points]
+    lo2, hi2 = bond.lo**2, bond.hi**2
+    count = 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx = pts[i][0] - pts[j][0]
+            dy = pts[i][1] - pts[j][1]
+            if lo2 <= dx * dx + dy * dy < hi2:
+                count += 1
+    return count
+
+
+_T = nobonds._BRUTE_MAX_POINTS
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, _T - 1, _T, _T + 1])
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.5), (0.0, 1.0), (0.3, 0.6)])
+def test_count_bonds_matches_double_loop(n, lo, hi):
+    # integer lattice points in a 9 x 9 square (times 0.3 for the last
+    # bond): many duplicates, and many pairs exactly at lo and at hi;
+    # above _T the close-pair grid takes over
+    rng = np.random.default_rng(n)
+    pts = rng.integers(0, 9, size=(n, 2)).astype(float)
+    if lo == 0.3:
+        pts *= 0.3
+    bond = BondSpec(lo, hi)
+    assert count_bonds(pts, bond) == brute_bond_count(pts, bond)
+
+
+def test_count_bonds_small_cases():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert count_bonds(pts[:0], BondSpec(0.0, 1.0)) == 0
+    assert count_bonds(pts[:1], BondSpec(0.0, 1.0)) == 0
+    assert count_bonds(pts, BondSpec(1.0, 2.0)) == 1      # exactly at lo: a bond
+    assert count_bonds(pts, BondSpec(0.5, 1.0)) == 0      # exactly at hi: none
+    assert count_bonds(np.zeros((5, 2)), BondSpec(0.0, 0.1)) == 10   # duplicates
+    assert count_bonds(np.zeros((5, 2)), BondSpec(0.05, 0.1)) == 0
 
 
 def test_check_nobonds_trivial_cases():

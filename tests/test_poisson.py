@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from distgaps.errors import ConfigError
-from distgaps.poisson import Seed, poisson_pmf, sample_poisson
-from distgaps.regions import Density, Disk, Rectangle
+from distgaps.poisson import Seed, poisson_pmf, sample_poisson, uniform_in_region
+from distgaps.regions import Density, Disk, PolarLobes, Rectangle
+from tests.conftest import oracle_uniform_in_region
 
 UNIT_SQUARE = Rectangle(0.5, 0.5)
 
@@ -130,3 +131,26 @@ def test_degenerate_region_signaled(monkeypatch):
     monkeypatch.setattr(regions, "contains", lambda region, pts: np.zeros(len(pts), dtype=bool))
     with pytest.raises(DegenerateRegionError):
         sample_poisson(regions.Disk(1.0), Density(2.0), Seed(1))
+
+
+def _state(rng: np.random.Generator):
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("region", [Rectangle(3.0, 0.5), Disk(2.0), PolarLobes(10**4),
+                                    PolarLobes(10**6), PolarLobes(10**7)], ids=repr)
+@pytest.mark.parametrize("count", [0, 1, 7, 1000, 2**19 + 3])
+def test_uniform_in_region_matches_oracle(region, count):
+    # same points bit for bit, and the generator left in the same state:
+    # estimate_mu_nu draws the bond partners from the same stream
+    for s in ((1, 2) if count > 2**19 else (1, 2, 3, 4)):
+        rng, oracle_rng = Seed(s).generator(), Seed(s).generator()
+        got = uniform_in_region(region, count, rng)
+        want = oracle_uniform_in_region(region, count, oracle_rng)
+        assert got.shape == (count, 2)
+        assert got.tobytes() == want.tobytes()
+        assert _state(rng) == _state(oracle_rng)

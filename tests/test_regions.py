@@ -18,6 +18,7 @@ from distgaps.regions import (
     rect_domain,
     region_from_dict,
 )
+from tests.conftest import oracle_contains
 
 
 def test_rectangle_contains():
@@ -50,6 +51,32 @@ def test_polar_lobes_two_sided_wedges():
             ang_out = base + sgn * 1.1 * half
             assert contains(PolarLobes(n), (r * math.cos(ang_in), r * math.sin(ang_in)))
             assert not contains(PolarLobes(n), (r * math.cos(ang_out), r * math.sin(ang_out)))
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6, 10**7])
+def test_lobes_contains_matches_oracle_at_the_edges(n):
+    # points within 4 ulps (per coordinate) of both radii and of the
+    # angular edge, on both lobes: the band prefilter on x*x + y*y must
+    # leave every decision of the exact hypot/arctan2 test as it was
+    lobes = PolarLobes(n)
+    R = lobes.outer_radius
+    rng = np.random.default_rng(n)
+    m = 100_000
+    parts = []
+    for rad in (0.9 * R, R - 1.0):
+        th = rng.uniform(-0.5, 0.5, m) + math.pi * rng.integers(0, 2, m)
+        parts.append(np.column_stack([rad * np.cos(th), rad * np.sin(th)]))
+    r = rng.uniform(0.9 * R, R - 1.0, m)
+    th = rng.choice([-1.0, 1.0], m) * 0.5 * (R - r) ** -0.25 + math.pi * rng.integers(0, 2, m)
+    parts.append(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+    pts = np.concatenate(parts)
+    pts += rng.integers(-4, 5, pts.shape) * np.spacing(pts)
+    got = contains(lobes, pts)
+    assert np.array_equal(got, oracle_contains(lobes, pts))
+    for part in np.split(got, 3):
+        assert 0 < part.sum() < len(part)      # both sides of each edge are hit
+    for p in pts[:50]:
+        assert contains(lobes, p) == oracle_contains(lobes, p)
 
 
 def test_strip_measure_value():
