@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import canonical, construction, harness, nobonds, spectrum as spectrum_mod
@@ -20,6 +21,18 @@ from .regions import region_from_dict
 def _add_common_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memory-budget", type=int, default=spectrum_mod.DEFAULT_MEMORY_BUDGET,
                    help="spectrum memory budget in bytes")
+
+
+def _check_destination(path: str | None) -> None:
+    """Fail before any work when a file cannot be created at ``path``:
+    its directory is missing or it names a directory."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
+    _check_destination(args.out)
     cfg = harness.HarnessConfig(
         n_grid=[args.n], seeds_per_n=1, epsilon=args.epsilon, base_seed=args.seed,
         memory_budget_bytes=args.memory_budget,
@@ -82,6 +96,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_destination(args.out)
+    _check_destination(args.dump)
     pts, _, meta = construction.load_points(args.points_file)
     spec = spectrum_mod.all_pair_distances(pts, memory_budget_bytes=args.memory_budget)
     gs = spectrum_mod.gap_stats(spec)
@@ -107,6 +123,8 @@ def _cmd_scaling(args) -> int:
         "out_csv": args.out,
     }
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    _check_destination(cfg.out_csv)
+    _check_destination(cfg.out_json)
     records: list[harness.RunRecord] = []
     fit = harness.run_scaling(
         cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,

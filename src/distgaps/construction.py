@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import poisson, regions
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, open_input
 from .poisson import Seed, as_seed
 from .regions import N_MIN, Density
 
@@ -275,7 +275,7 @@ def load_points(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     meta: dict = {}
     xs: list[list[float]] = []
     codes: list[int] = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -1,4 +1,7 @@
 """Exception types shared across the package."""
+from __future__ import annotations
+
+from typing import IO
 
 
 class DistgapsError(Exception):
@@ -27,3 +30,12 @@ class SpectrumSizeError(DistgapsError):
 
 class AuditError(DistgapsError):
     """Internal contradiction in the witness audit (non-empty witness)."""
+
+
+def open_input(path: str, mode: str = "r") -> IO:
+    """Open a file named by the user for reading; a missing file, a
+    directory or a file it may not read is a ConfigError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc

@@ -13,7 +13,7 @@ import yaml
 
 from . import __version__, canonical
 from .construction import Construction, assemble
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, open_input
 from .poisson import Seed, as_seed
 from .spectrum import (
     DEFAULT_MEMORY_BUDGET,
@@ -110,7 +110,7 @@ _CONFIG_TYPES = {
 
 
 def load_config(path: str) -> HarnessConfig:
-    with open(path) as fh:
+    with open_input(path) as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")

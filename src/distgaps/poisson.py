@@ -98,13 +98,3 @@ def sample_poisson(region: Region, density: Density, seed) -> np.ndarray:
     count = int(seed.substream("count").generator().poisson(mean))
     return uniform_in_region(region, count, seed.substream("points").generator())
 
-
-def poisson_pmf(mean: float, i: int) -> float:
-    """P[N = i] for N ~ Poisson(mean), computed in log space."""
-    if mean < 0:
-        raise ConfigError("mean must be >= 0")
-    if i < 0:
-        raise ConfigError("count must be >= 0")
-    if mean == 0.0:
-        return 1.0 if i == 0 else 0.0
-    return math.exp(i * math.log(mean) - mean - math.lgamma(i + 1))

@@ -5,12 +5,12 @@ quarters of the memory budget.  When all ``m = N(N-1)/2`` distances fit,
 they are filled in row blocks into one array and sorted in place.
 Otherwise one histogram pass over the row blocks splits them into
 consecutive value ranges ``[lo, hi)`` of at most ``cap`` distances, and
-each range takes one pass: recompute the blocks, copy the distances in the
-range into a chunk sized from the histogram, sort it and append it to one
-unnamed temporary file (8 bytes per distance), which backs a read-only
-memmap.  The file has no name to clean up: the kernel frees it with the
-memmap, when the spectrum goes, and an error or a killed process leaves
-nothing behind.
+each range takes one pass: recompute the blocks, select the distances in
+the range slice by slice straight into a chunk sized from the histogram,
+sort it and append it to one unnamed temporary file (8 bytes per
+distance), which backs a read-only memmap.  The file has no name to clean
+up: the kernel frees it with the memmap, when the spectrum goes, and an
+error or a killed process leaves nothing behind.
 
 Histogram bins are prefixes of the float64 bit patterns, which order like
 the values for non-negative floats, so bin ends are floats and a pass
@@ -28,10 +28,17 @@ windows with compensated (Kahan) summation by ``SquaredGapSum``: the
 gap-sum objective is a second-order statistic of nearly equal values and m
 can reach 1e9, so naive accumulation is not acceptable.  ``gap_stats`` and
 the witness audit share it, so they report the same sum to the last bit.
+
+A walk over a file mapping (the range passes' memmap or a dump read back)
+drops the mapped pages behind it as it goes; the values stay in the page
+cache and read back unchanged.  So a spilled run holds about one chunk (at
+most three quarters of the budget) plus one row block, during the passes,
+and not the whole file after them.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import tempfile
 from dataclasses import dataclass
@@ -39,13 +46,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, SpectrumSizeError
+from .errors import ConfigError, SpectrumSizeError, open_input
 
 DEFAULT_MEMORY_BUDGET = 1 << 30          # 1 GiB
 DEFAULT_HARD_CAP = 2_000_000_000
 _WINDOW = 1 << 13                        # elements per consumer window (64 KiB)
+_RELEASE_STRIDE = 1 << 18                # values a walk passes between page releases (2 MiB)
+_SELECT = 1 << 16                        # values per slice of a row block (512 KiB)
 _BIN_BITS = 16                           # one histogram pass counts up to 2**16 bins
 _INF_BITS = 0x7FF0_0000_0000_0000        # bit pattern of +inf
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)     # None where mmap has no madvise
 
 
 @dataclass
@@ -94,13 +104,12 @@ def all_pair_distances(
     points: np.ndarray,
     *,
     memory_budget_bytes: int | None = None,
-    hard_cap: int = DEFAULT_HARD_CAP,
 ) -> DistanceSpectrum:
     """Full sorted spectrum of Euclidean pair distances.
 
     The result is independent of input order and of the budget.  Raises
     ConfigError on non-finite coordinates and SpectrumSizeError when the
-    pair count exceeds the hard cap.
+    pair count exceeds ``DEFAULT_HARD_CAP``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -115,8 +124,8 @@ def all_pair_distances(
     if not math.isfinite(top_sq):
         raise ConfigError("point coordinates must be finite and span less than 1e154")
     m = n * (n - 1) // 2
-    if m > hard_cap:
-        raise SpectrumSizeError(f"{m} pairs exceed the hard cap {hard_cap}")
+    if m > DEFAULT_HARD_CAP:
+        raise SpectrumSizeError(f"{m} pairs exceed the hard cap {DEFAULT_HARD_CAP}")
     budget = DEFAULT_MEMORY_BUDGET if memory_budget_bytes is None else int(memory_budget_bytes)
     if budget < (1 << 22):
         raise ConfigError("memory budget below 4 MiB is not workable")
@@ -145,10 +154,11 @@ def all_pair_distances(
                 continue
             chunk = np.empty(count)
             pos = 0
-            for block in _blocks(x, y, rows_per_block):
-                part = _select(block, lo, hi)
-                chunk[pos:pos + len(part)] = part
-                pos += len(part)
+            for part in _blocks(x, y, rows_per_block):
+                keep = _in_range(part, lo, hi)
+                k = int(np.count_nonzero(keep))
+                np.compress(keep, part, out=chunk[pos:pos + k])
+                pos += k
             assert pos == count
             chunk.sort()
             chunk.tofile(fh)
@@ -169,26 +179,34 @@ def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
 
 
 def _blocks(x: np.ndarray, y: np.ndarray, rows_per_block: int) -> Iterator[np.ndarray]:
-    """Every pair distance, one row block at a time, in one reused buffer."""
+    """Every pair distance, one row block at a time in one reused buffer,
+    handed out in slices of at most ``_SELECT`` values, so no temporary a
+    pass makes from them outgrows a slice."""
     n = len(x)
     buf = np.empty(_row_prefix(n, min(rows_per_block, n - 1)))
     for i0, i1 in _row_blocks(n, rows_per_block):
         block = buf[:_row_prefix(n, i1) - _row_prefix(n, i0)]
         _fill_rows_into(block, x, y, i0, i1)
-        yield block
+        for s in range(0, len(block), _SELECT):
+            yield block[s:s + _SELECT]
 
 
 def _as_float(bits: int) -> float:
     return float(np.int64(min(bits, _INF_BITS)).view(np.float64))
 
 
-def _select(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The values v of block with lo <= v < hi."""
+def _in_range(part: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the values v of part with lo <= v < hi."""
+    keep = part >= lo
+    keep &= part < hi
+    return keep
+
+
+def _select(part: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The values v of part with lo <= v < hi."""
     if lo == 0.0 and hi == math.inf:
-        return block
-    keep = block >= lo
-    keep &= block < hi
-    return block[keep]
+        return part
+    return part[_in_range(part, lo, hi)]
 
 
 def _bins(
@@ -206,8 +224,8 @@ def _bins(
     lo, hi = _as_float(prefix << shift), _as_float((prefix + 1) << shift)
     first = prefix << (shift - sub)
     counts = np.zeros(1 << (shift - sub), dtype=np.int64)
-    for block in _blocks(x, y, rows_per_block):
-        idx = _select(block, lo, hi).view(np.int64) >> sub
+    for part in _blocks(x, y, rows_per_block):
+        idx = _select(part, lo, hi).view(np.int64) >> sub
         idx -= first
         counts += np.bincount(idx, minlength=len(counts))
     out: list[tuple[float, float, int]] = []
@@ -240,15 +258,52 @@ def _merge_bins(bins: list[tuple[float, float, int]], cap: int) -> list[tuple[fl
 def iter_windows(values: np.ndarray) -> Iterator[np.ndarray]:
     """Overlapping views of ``_WINDOW`` + 1 values: each window repeats the
     previous last element, so per-window diffs cover every consecutive pair
-    exactly once."""
+    exactly once.
+
+    On a read-only file mapping the walk also drops the mapped pages wholly
+    behind the current window, about every ``_RELEASE_STRIDE`` values and
+    once more at its end: they stay in the page cache and read back
+    unchanged, but stop counting toward the process's resident memory."""
     window = _WINDOW
     m = len(values)
+    mapping = _file_mapping(values)
+    released = 0                         # values behind the last release
     start = 0
     while start < m:
         stop = min(start + window, m)
         lo = start - 1 if start else 0
+        if mapping and lo - released >= _RELEASE_STRIDE:
+            _drop_pages(*mapping, released * values.itemsize, lo * values.itemsize)
+            released = lo
         yield values[lo:stop]
         start = stop
+    if mapping:
+        _drop_pages(*mapping, released * values.itemsize, m * values.itemsize)
+
+
+def _file_mapping(values: np.ndarray) -> tuple[mmap.mmap, int] | None:
+    """The read-only file mapping under a contiguous memmap (or a view of
+    one) and the byte offset of its first value in that mapping, else None.
+    Dropping pages of a private or anonymous mapping would lose data, so
+    nothing else qualifies."""
+    if not (isinstance(values, np.memmap) and values.mode == "r"
+            and values.flags.c_contiguous and _DONTNEED is not None):
+        return None
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not isinstance(base, mmap.mmap):
+        return None
+    return base, values.ctypes.data - np.frombuffer(base, dtype=np.uint8).ctypes.data
+
+
+def _drop_pages(mapping: mmap.mmap, offset: int, begin: int, end: int) -> None:
+    """Drop the pages of ``mapping`` that lie wholly before byte ``end`` of
+    the values, from the page holding byte ``begin``."""
+    page = mmap.PAGESIZE
+    a, b = (offset + begin) // page * page, (offset + end) // page * page
+    if b > a:
+        mapping.madvise(_DONTNEED, a, b - a)
 
 
 class SquaredGapSum:
@@ -308,24 +363,25 @@ def equal_spacing_lower_bound(diameter: float, m: int, d1: float) -> float:
 def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(np.array([spectrum.m], dtype="<u8").tobytes())
-        v = spectrum.values
-        for i in range(0, len(v), _WINDOW):
-            # a view on little-endian hosts: no copy of the values
-            fh.write(memoryview(np.ascontiguousarray(v[i:i + _WINDOW], dtype="<f8")))
+        for i, w in enumerate(iter_windows(spectrum.values)):
+            # windows after the first repeat the previous last value; the
+            # rest is a view on little-endian hosts, with no copy
+            fh.write(memoryview(np.ascontiguousarray(w[min(i, 1):], dtype="<f8")))
 
 
 def read_spectrum(path: str) -> DistanceSpectrum:
     """Map a dump read-only, so reading it holds no copy of the values, and
     check in one pass of windows that the values ascend and are finite: a
     NaN fails the ordering test, so finite ends make every value finite."""
-    size = os.path.getsize(path)
-    if size < 8:
-        raise ConfigError(f"spectrum file {path}: no count header")
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise ConfigError(f"spectrum file {path}: no count header")
         count = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-    if size - 8 != 8 * count:
-        raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
-    values = np.memmap(path, dtype="<f8", mode="r", offset=8, shape=(count,))
+        if size - 8 != 8 * count:
+            raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
+        # the mapping keeps its own reference to the file
+        values = np.memmap(fh, dtype="<f8", mode="r", offset=8, shape=(count,))
     for w in iter_windows(values):
         if not (w[1:] >= w[:-1]).all():
             raise ConfigError(f"spectrum file {path}: values are not ascending or hold a NaN")

@@ -1,4 +1,5 @@
 import math
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from distgaps import spectrum
 from distgaps.canonical import audit_gap_witnesses, default_k_max, empty_canonical_survey
 from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import AuditError, ConfigError
-from distgaps.spectrum import DistanceSpectrum, gap_stats
+from distgaps.spectrum import DistanceSpectrum, gap_stats, read_spectrum, write_spectrum
 
 
 def spectrum_of(values) -> DistanceSpectrum:
@@ -258,7 +259,7 @@ def test_audit_rejects_sub_unit_minimum():
         audit_gap_witnesses(spectrum_of([0.5, 1.5]))
 
 
-def test_audit_window_invariance(rng_session, monkeypatch):
+def test_audit_window_invariance(rng_session, monkeypatch, tmp_path):
     vals = np.sort(rng_session.uniform(1.0, 40.0, 5000))
     sp = spectrum_of(vals)
     a = audit_gap_witnesses(sp)
@@ -270,6 +271,12 @@ def test_audit_window_invariance(rng_session, monkeypatch):
     assert a.crossing_witness_sum_sq == b.crossing_witness_sum_sq
     assert a.positive_gap_count == b.positive_gap_count
     assert a.crossing_count == b.crossing_count
+    # a file-backed copy, whose walk drops the mapped pages behind it after
+    # every page of values, gives every field to the last bit
+    monkeypatch.setattr(spectrum, "_RELEASE_STRIDE", mmap.PAGESIZE // 8)
+    path = tmp_path / "spec.bin"
+    write_spectrum(sp, str(path))
+    assert audit_gap_witnesses(read_spectrum(str(path))) == b
 
 
 @pytest.mark.parametrize("window", [1, 2, 7, 311, 1 << 15])

@@ -136,6 +136,35 @@ def test_bad_point_file_is_config_error(tmp_path, capsys, bad_line):
     assert f"{pts_path}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--points-file", "{missing}/pts.txt"],
+    ["spectrum", "--points-file", "{dir}"],
+    ["spectrum", "--points-file", "{points}", "--out", "{missing}/summary.csv"],
+    ["spectrum", "--points-file", "{points}", "--dump", "{missing}/spec.bin"],
+    ["spectrum", "--points-file", "{points}", "--dump", "{dir}"],
+    ["canonical-audit", "--spectrum-file", "{missing}/spec.bin"],
+    ["canonical-audit", "--spectrum-file", "{dir}"],
+    ["scaling", "--config", "{missing}/cfg.yaml"],
+    ["scaling", "--config", "{dir}"],
+    ["scaling", "--grid", "10000", "20000", "40000", "80000", "--seeds", "3",
+     "--out", "{missing}/runs.csv"],
+    ["construct", "--n", "20000", "--out", "{missing}/pts.txt"],
+], ids=["spectrum-points-missing", "spectrum-points-dir", "spectrum-out-no-dir",
+        "spectrum-dump-no-dir", "spectrum-dump-is-dir", "audit-missing", "audit-dir",
+        "scaling-config-missing", "scaling-config-dir", "scaling-out-no-dir",
+        "construct-out-no-dir"])
+def test_bad_path_fails_early(tmp_path, capsys, argv):
+    # a missing file, a directory where a file belongs or a missing output
+    # directory exits 2 before any work, naming the path
+    points = tmp_path / "pts.txt"
+    points.write_text("0.0 0.0 rect\n3.0 0.0 rect\n0.0 4.0 circle\n")
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "points": str(points)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error" in err and str(tmp_path) in err
+
+
 def test_budget_floor(tmp_path, capsys):
     pts_path = tmp_path / "pts.txt"
     pts_path.write_text("0.0 0.0 rect\n3.0 0.0 rect\n0.0 4.0 circle\n")

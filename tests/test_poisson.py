@@ -2,44 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import stats
 
 from distgaps.errors import ConfigError
-from distgaps.poisson import Seed, poisson_pmf, sample_poisson, uniform_in_region
+from distgaps.poisson import Seed, sample_poisson, uniform_in_region
 from distgaps.regions import Density, Disk, PolarLobes, Rectangle
 from tests.conftest import oracle_uniform_in_region
 
 UNIT_SQUARE = Rectangle(0.5, 0.5)
-
-
-def test_pmf_trivial():
-    assert poisson_pmf(0.0, 0) == 1.0
-    assert poisson_pmf(0.0, 3) == 0.0
-    assert poisson_pmf(2.0, 0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-
-
-def test_pmf_normalization_large_i():
-    # includes i=120 at mean 5, far in the tail; the log-space form must not
-    # over- or underflow on the way to a 1e-12 normalization
-    total = sum(poisson_pmf(5.0, i) for i in range(0, 200))
-    assert abs(total - 1.0) < 1e-12
-    assert 0.0 < poisson_pmf(5.0, 120) < 1e-80
-
-
-@given(st.floats(min_value=0.01, max_value=50.0), st.integers(min_value=0, max_value=30))
-def test_pmf_recurrence(mean, i):
-    # pmf(i+1)/pmf(i) = mean/(i+1)
-    a = poisson_pmf(mean, i)
-    b = poisson_pmf(mean, i + 1)
-    assert b == pytest.approx(a * mean / (i + 1), rel=1e-9)
-
-
-def test_pmf_validation():
-    with pytest.raises(ConfigError):
-        poisson_pmf(-1.0, 0)
-    with pytest.raises(ConfigError):
-        poisson_pmf(1.0, -1)
 
 
 def test_zero_density_always_empty():
@@ -94,7 +64,7 @@ def test_counts_match_pmf_chi_square():
     k_max = 8
     observed = np.bincount(np.minimum(counts, k_max), minlength=k_max + 1)
     mean = 2.0
-    probs = np.array([poisson_pmf(mean, i) for i in range(k_max)])
+    probs = stats.poisson.pmf(np.arange(k_max), mean)
     probs = np.append(probs, 1.0 - probs.sum())
     res = stats.chisquare(observed, probs * trials)
     assert res.pvalue > 1e-3

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -180,6 +181,45 @@ def test_killed_run_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+_WALKS_AFTER_SPILL = """
+import os, resource, sys
+import numpy as np
+from distgaps import canonical, spectrum
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+# 4,000 lattice points 1.5 apart: m = 7,998,000 distances, a 64 MB file,
+# spilled at a 32 MiB budget
+side = np.arange(64) * 1.5
+pts = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])[:4000]
+sp = spectrum.all_pair_distances(pts, memory_budget_bytes=32 << 20)
+assert isinstance(sp.values, np.memmap)
+engine = peak_mb()
+spectrum.gap_stats(sp)
+audit = canonical.audit_gap_witnesses(sp)
+canonical.empty_canonical_survey(sp, 1500, canonical.default_k_max(1500))
+path = os.path.join(sys.argv[1], "spec.bin")
+spectrum.write_spectrum(sp, path)
+assert canonical.audit_gap_witnesses(spectrum.read_spectrum(path)) == audit
+print(peak_mb() - engine)
+"""
+
+
+def test_walks_release_mapped_pages(tmp_path):
+    # every walk over a file-backed spectrum drops the pages behind it, so
+    # after the engine's peak five walks over the 64 MB spill file and a
+    # 64 MB dump of it add little; keeping the pages mapped adds over 64 MB
+    import distgaps
+
+    src = os.path.dirname(os.path.dirname(distgaps.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", _WALKS_AFTER_SPILL, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 16.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 def test_non_finite_coordinates_rejected(bad):
     pts = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
@@ -187,10 +227,11 @@ def test_non_finite_coordinates_rejected(bad):
         all_pair_distances(pts)
 
 
-def test_hard_cap():
+def test_hard_cap(monkeypatch):
+    monkeypatch.setattr(spectrum, "DEFAULT_HARD_CAP", 1000)
     pts = np.zeros((2000, 2))
     with pytest.raises(SpectrumSizeError):
-        all_pair_distances(pts, hard_cap=1000)
+        all_pair_distances(pts)
 
 
 def test_needs_two_points():
@@ -274,6 +315,8 @@ def test_dump_bytes_in_any_chunking(tmp_path, rng_session, monkeypatch, window):
     sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
     assert isinstance(sp.values, np.memmap)
     monkeypatch.setattr(spectrum, "_WINDOW", window)
+    # the walk drops the mapped pages behind it after every page of values
+    monkeypatch.setattr(spectrum, "_RELEASE_STRIDE", mmap.PAGESIZE // 8)
     path = tmp_path / "spec.bin"
     write_spectrum(sp, str(path))
     want = sp.m.to_bytes(8, "little") + np.asarray(sp.values).astype("<f8").tobytes()
