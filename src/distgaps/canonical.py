@@ -43,7 +43,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import spectrum as spectrum_mod
 from .construction import DistanceClass, class_limits, nominal_diameter
 from .errors import AuditError, ConfigError
 from .spectrum import DistanceSpectrum, SquaredGapSum, iter_windows
@@ -165,9 +164,8 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     cross_levels = np.bincount(np.concatenate([kl, kr]), minlength=_LEVELS)
     cross_units = int(units.sum())               # integers below 2^53: exact
     cross_g = b - a
-    cross_sum = SquaredGapSum()                  # one window per np.dot, as in the walk
-    for i in range(0, len(cross_g), spectrum_mod._WINDOW):
-        cross_sum.add(cross_g[i:i + spectrum_mod._WINDOW])
+    cross_sum = SquaredGapSum()
+    cross_sum.add(cross_g)
 
     witness_sum_sq = _dyadic_sum(levels + cross_levels, cross_units)
     return WitnessAudit(

@@ -177,6 +177,8 @@ class BondSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.lo < self.hi):
             raise ConfigError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi})")
+        if not math.isfinite(self.hi * self.hi):
+            raise ConfigError(f"bond hi must have a finite square, got {self.hi}")
 
 
 @dataclass
@@ -205,8 +207,7 @@ def estimate_mu_nu(
     """Monte Carlo mu and nu with standard errors; deterministic given seed."""
     if samples < 10_000:
         raise ConfigError(f"need >= 1e4 samples, got {samples}")
-    if epsilon < 0:
-        raise ConfigError("density must be >= 0")
+    Density(epsilon)                 # a NaN or infinite density fails before sampling
     if regions.diameter_upper_bound(region) < bond.lo:
         return MuNuEstimate(0.0, 0.0, 0.0, 0.0, samples)
 

@@ -1,23 +1,25 @@
 """Exact sorted all-pairs distance spectra and gap statistics.
 
-One engine.  Let ``cap`` be the number of float64 values that fit in three
-quarters of the memory budget.  When all ``m = N(N-1)/2`` distances fit,
-they are filled in row blocks into one array and sorted in place.
-Otherwise one histogram pass over the row blocks splits them into
-consecutive value ranges ``[lo, hi)`` of at most ``cap`` distances, and
-each range takes one pass: recompute the blocks, select the distances in
-the range slice by slice straight into a chunk sized from the histogram,
-sort it and append it to one unnamed temporary file (8 bytes per
-distance), which backs a read-only memmap.  The file has no name to clean
-up: the kernel frees it with the memmap, when the spectrum goes, and an
-error or a killed process leaves nothing behind.
+One engine, one fill path.  Let ``cap`` be the number of float64 values
+that fit in three quarters of the memory budget.  Every spectrum is built
+from sorted ranges ``[lo, hi)``: one pass over all the distances, in
+groups of whole rows of at least ``_SELECT`` values filled into one small
+reused buffer, selects the distances in the range into a chunk of exactly
+their count, and the chunk is sorted.  When all ``m = N(N-1)/2``
+distances fit, the spectrum is the one range [0, inf), with no histogram
+and no file.  Otherwise one histogram pass splits the distances into
+consecutive ranges of at most ``cap`` distances, and each range's sorted
+chunk is appended to one unnamed temporary file (8 bytes per distance),
+which backs a read-only memmap.  The file has no name to clean up: the
+kernel frees it with the memmap, when the spectrum goes, and an error or
+a killed process leaves nothing behind.
 
 Histogram bins are prefixes of the float64 bit patterns, which order like
 the values for non-negative floats, so bin ends are floats and a pass
 selects with the comparisons its range was counted with.  A bin over
 ``cap`` is counted again on its own bits, down to one float value, which
 is written without a pass.  A distance is a symmetric function of its two
-endpoints, so the sorted values depend on neither input order nor blocks
+endpoints, so the sorted values depend on neither input order nor groups
 nor ranges.
 
 Every consumer walks the sorted values in windows of one private size,
@@ -32,8 +34,8 @@ the witness audit share it, so they report the same sum to the last bit.
 A walk over a file mapping (the range passes' memmap or a dump read back)
 drops the mapped pages behind it as it goes; the values stay in the page
 cache and read back unchanged.  So a spilled run holds about one chunk (at
-most three quarters of the budget) plus one row block, during the passes,
-and not the whole file after them.
+most three quarters of the budget) plus one group, during the passes, and
+not the whole file after them.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ DEFAULT_MEMORY_BUDGET = 1 << 30          # 1 GiB
 DEFAULT_HARD_CAP = 2_000_000_000
 _WINDOW = 1 << 13                        # elements per consumer window (64 KiB)
 _RELEASE_STRIDE = 1 << 18                # values a walk passes between page releases (2 MiB)
-_SELECT = 1 << 16                        # values per slice of a row block (512 KiB)
+_SELECT = 1 << 16                        # least values per group of rows (512 KiB)
 _BIN_BITS = 16                           # one histogram pass counts up to 2**16 bins
 _INF_BITS = 0x7FF0_0000_0000_0000        # bit pattern of +inf
 _DONTNEED = getattr(mmap, "MADV_DONTNEED", None)     # None where mmap has no madvise
@@ -90,16 +92,6 @@ class DistanceSpectrum:
             self.values = np.empty(0)
 
 
-def _row_prefix(n: int, i: int) -> int:
-    # pairs (r, j), r < j, contributed by rows 0..i-1
-    return i * (n - 1) - (i * (i - 1)) // 2
-
-
-def _row_blocks(n: int, rows_per_block: int) -> Iterator[tuple[int, int]]:
-    for i0 in range(0, n - 1, rows_per_block):
-        yield i0, min(i0 + rows_per_block, n - 1)
-
-
 def all_pair_distances(
     points: np.ndarray,
     *,
@@ -132,17 +124,11 @@ def all_pair_distances(
 
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1])
-    rows_per_block = max(1, (budget // 16) // max(n, 1) // 8)
     cap = int(0.75 * budget) // 8
-
     if m <= cap:
-        out = np.empty(m)
-        for i0, i1 in _row_blocks(n, rows_per_block):
-            _fill_rows_into(out[_row_prefix(n, i0):_row_prefix(n, i1)], x, y, i0, i1)
-        out.sort()
-        return DistanceSpectrum(out)
+        return DistanceSpectrum(_sorted_range(x, y, 0.0, math.inf, m))
 
-    bins = _bins(x, y, rows_per_block, cap, 0, 63)     # 0 << 63: every distance
+    bins = _bins(x, y, cap, 0, 63)     # 0 << 63: every distance
     # an unnamed file: the kernel frees it with its last descriptor or
     # mapping, so neither an error nor a killed process leaves it behind
     with tempfile.TemporaryFile() as fh:
@@ -152,19 +138,23 @@ def all_pair_distances(
                 for start in range(0, count, cap):
                     np.full(min(cap, count - start), lo).tofile(fh)
                 continue
-            chunk = np.empty(count)
-            pos = 0
-            for part in _blocks(x, y, rows_per_block):
-                keep = _in_range(part, lo, hi)
-                k = int(np.count_nonzero(keep))
-                np.compress(keep, part, out=chunk[pos:pos + k])
-                pos += k
-            assert pos == count
-            chunk.sort()
-            chunk.tofile(fh)
+            _sorted_range(x, y, lo, hi, count).tofile(fh)
         fh.flush()
         # the mapping keeps its own reference to the file
         return DistanceSpectrum(np.memmap(fh, dtype=np.float64, mode="r"))
+
+
+def _sorted_range(x: np.ndarray, y: np.ndarray, lo: float, hi: float, count: int) -> np.ndarray:
+    """The ``count`` distances v with lo <= v < hi, in one pass, sorted."""
+    chunk = np.empty(count)
+    pos = 0
+    for part in _blocks(x, y):
+        kept = _select(part, lo, hi)
+        chunk[pos:pos + len(kept)] = kept
+        pos += len(kept)
+    assert pos == count
+    chunk.sort()
+    return chunk
 
 
 def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
@@ -178,39 +168,39 @@ def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
         pos += cnt
 
 
-def _blocks(x: np.ndarray, y: np.ndarray, rows_per_block: int) -> Iterator[np.ndarray]:
-    """Every pair distance, one row block at a time in one reused buffer,
-    handed out in slices of at most ``_SELECT`` values, so no temporary a
-    pass makes from them outgrows a slice."""
+def _blocks(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+    """Every pair distance, in groups of whole rows of at least ``_SELECT``
+    values (the last group may hold fewer), filled one group at a time into
+    one reused buffer of ``_SELECT`` + N values, so no temporary a pass
+    makes from a group outgrows it."""
     n = len(x)
-    buf = np.empty(_row_prefix(n, min(rows_per_block, n - 1)))
-    for i0, i1 in _row_blocks(n, rows_per_block):
-        block = buf[:_row_prefix(n, i1) - _row_prefix(n, i0)]
-        _fill_rows_into(block, x, y, i0, i1)
-        for s in range(0, len(block), _SELECT):
-            yield block[s:s + _SELECT]
+    buf = np.empty(_SELECT + n)
+    i0 = 0
+    while i0 < n - 1:
+        i1, size = i0, 0
+        while size < _SELECT and i1 < n - 1:
+            size += n - 1 - i1
+            i1 += 1
+        _fill_rows_into(buf[:size], x, y, i0, i1)
+        yield buf[:size]
+        i0 = i1
 
 
 def _as_float(bits: int) -> float:
     return float(np.int64(min(bits, _INF_BITS)).view(np.float64))
 
 
-def _in_range(part: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mask of the values v of part with lo <= v < hi."""
-    keep = part >= lo
-    keep &= part < hi
-    return keep
-
-
 def _select(part: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The values v of part with lo <= v < hi."""
     if lo == 0.0 and hi == math.inf:
         return part
-    return part[_in_range(part, lo, hi)]
+    keep = part >= lo
+    keep &= part < hi
+    return part[keep]
 
 
 def _bins(
-    x: np.ndarray, y: np.ndarray, rows_per_block: int, cap: int, prefix: int, shift: int,
+    x: np.ndarray, y: np.ndarray, cap: int, prefix: int, shift: int,
 ) -> list[tuple[float, float, int]]:
     """Non-empty bins ``(lo, hi, count)``, ascending, of the distances whose
     bit patterns start with ``prefix``, i.e. lie in
@@ -224,7 +214,7 @@ def _bins(
     lo, hi = _as_float(prefix << shift), _as_float((prefix + 1) << shift)
     first = prefix << (shift - sub)
     counts = np.zeros(1 << (shift - sub), dtype=np.int64)
-    for part in _blocks(x, y, rows_per_block):
+    for part in _blocks(x, y):
         idx = _select(part, lo, hi).view(np.int64) >> sub
         idx -= first
         counts += np.bincount(idx, minlength=len(counts))
@@ -232,7 +222,7 @@ def _bins(
     for j in np.flatnonzero(counts):
         bin_prefix, count = first + int(j), int(counts[j])
         if count > cap and sub:
-            out += _bins(x, y, rows_per_block, cap, bin_prefix, sub)
+            out += _bins(x, y, cap, bin_prefix, sub)
         else:
             out.append((_as_float(bin_prefix << sub), _as_float((bin_prefix + 1) << sub), count))
     return out
@@ -307,18 +297,21 @@ def _drop_pages(mapping: mmap.mmap, offset: int, begin: int, end: int) -> None:
 
 
 class SquaredGapSum:
-    """Sum of squared gaps: one ``np.dot`` per window, Kahan steps across
-    windows."""
+    """Sum of squared gaps: one ``np.dot`` per ``_WINDOW`` gaps, Kahan steps
+    across them.  A walk's window holds at most ``_WINDOW`` gaps, so it adds
+    in one step."""
 
     def __init__(self) -> None:
         self.total = 0.0
         self._comp = 0.0
 
     def add(self, g: np.ndarray) -> None:
-        yv = float(np.dot(g, g)) - self._comp
-        t = self.total + yv
-        self._comp = (t - self.total) - yv
-        self.total = t
+        for i in range(0, len(g), _WINDOW):
+            piece = g[i:i + _WINDOW]
+            yv = float(np.dot(piece, piece)) - self._comp
+            t = self.total + yv
+            self._comp = (t - self.total) - yv
+            self.total = t
 
 
 def gap_stats(spectrum: DistanceSpectrum) -> GapStats:

@@ -126,6 +126,17 @@ def test_bad_region_json_is_config_error(capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bond-hi", "inf"), ("--bond-hi", "1e200"), ("--density", "nan"), ("--density", "inf"),
+])
+def test_bad_bond_or_density_is_config_error(capsys, flag, value):
+    args = {"--density": "1.0", "--bond-lo": "0.1", "--bond-hi": "0.2", flag: value}
+    rc = main(["nobonds-verify", "--region", '{"kind": "disk", "radius": 1}',
+               *[a for kv in args.items() for a in kv], "--samples", "10000", "--trials", "10"])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad_line", [
     "nan 0.5 rect", "1.0 inf circle", "1.0 2.0", "1.0 2.0 hexagon", "one 2.0 rect",
 ])

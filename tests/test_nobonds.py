@@ -143,6 +143,23 @@ def test_mu_requires_min_samples():
         estimate_mu_nu(UNIT_SQUARE, 2.0, BondSpec(0.3, 0.4), 100, Seed(1))
 
 
+@pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
+def test_mu_rejects_bad_density_before_sampling(monkeypatch, density):
+    def no_sampling(*args):
+        raise AssertionError("sampled with a bad density")
+
+    monkeypatch.setattr(nobonds, "uniform_in_region", no_sampling)
+    with pytest.raises(ConfigError):
+        estimate_mu_nu(UNIT_SQUARE, density, BondSpec(0.3, 0.4), 10_000, Seed(1))
+
+
+def test_bond_hi_needs_a_finite_square():
+    for hi in (math.inf, 1e200):
+        with pytest.raises(ConfigError):
+            BondSpec(0.1, hi)
+    assert BondSpec(0.1, 1e150).hi == 1e150
+
+
 def test_mu_signals_no_hits():
     # square of side 1 with a bond interval [1.35, 1.40): the bbox diagonal
     # sqrt(2) admits corner pairs, but annulus partners essentially never

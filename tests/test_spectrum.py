@@ -100,6 +100,33 @@ def test_engines_agree_random(count, seed):
         _check_range_passes(layout, _layout(layout, count, rng))
 
 
+@pytest.mark.parametrize("select", [1, 7])
+def test_range_passes_any_group_size(monkeypatch, select):
+    # groups of one row each (1), and rows longer than a group (7)
+    monkeypatch.setattr(spectrum, "_SELECT", select)
+    rng = np.random.default_rng(select)
+    for layout in ("uniform", "lattice", "clusters", "coincident"):
+        _check_range_passes(layout, _layout(layout, 1100, rng))
+
+
+@pytest.mark.parametrize("count", [887, 888])
+def test_cap_boundary(rng_session, count):
+    # at the 4 MiB floor, 887 points (m = 392,941) fit the cap of 393,216
+    # and take one pass, with no histogram and no file; 888 (m = 393,828)
+    # spill
+    pts = rng_session.uniform(0.0, 50.0, size=(count, 2))
+    with mock.patch.object(spectrum, "_bins", wraps=spectrum._bins) as bins, \
+            mock.patch.object(spectrum, "_blocks", wraps=spectrum._blocks) as blocks:
+        sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
+    spilled = sp.m > _CAP_4MIB
+    assert spilled == (count == 888)
+    assert isinstance(sp.values, np.memmap) == spilled
+    if not spilled:
+        assert bins.call_count == 0 and blocks.call_count == 1
+    assert np.array_equal(np.asarray(sp.values), naive_spectrum(pts))
+    sp.close()
+
+
 def _check_range_passes(layout: str, pts: np.ndarray) -> None:
     histograms, ranges, passes = [], [], []
     count_bins, merge, blocks = spectrum._bins, spectrum._merge_bins, spectrum._blocks
