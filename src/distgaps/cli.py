@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from . import canonical, construction, harness, nobonds, spectrum as spectrum_mod
 from .errors import ConfigError, DistgapsError, InvariantViolation
@@ -87,8 +88,10 @@ def _cmd_construct(args) -> int:
         n_grid=[args.n], seeds_per_n=1, epsilon=args.epsilon, base_seed=args.seed,
         memory_budget_bytes=args.memory_budget,
     )
+    t0 = time.perf_counter()
     con = construction.assemble(args.n, args.epsilon, Seed(args.seed))
-    rec = harness.record_from_construction(con, memory_budget_bytes=args.memory_budget)
+    rec = harness.record_from_construction(con, memory_budget_bytes=args.memory_budget,
+                                           started_at=t0)
     if args.out:
         construction.export_points(con, args.out)
     print(harness.record_to_json(rec, cfg))

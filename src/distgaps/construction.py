@@ -53,72 +53,43 @@ def class_limits(n: int) -> tuple[float, float]:
 _FWD_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1))
 
 
-def _pack_cells(points: np.ndarray, cell: float) -> np.ndarray:
-    c = np.floor(points / cell).astype(np.int64)
-    # pack (cx, cy) into one int64 key; coordinates are far below 2^30 cells
-    return (c[:, 0] << 31) + c[:, 1]
-
-
 def close_pairs(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j, with |p_i - p_j| strictly below threshold.
 
-    Uniform grid of cell size = threshold; each unordered pair is examined
-    once via forward neighbor offsets, so the cost is near-linear for
-    bounded density.
+    The points are sorted by a packed key of their grid cell (side =
+    threshold), so each occupied cell is one run of the sorted order.  Each
+    point is joined with the run of each forward neighbour cell, found by
+    binary search on the sorted keys, and with the points after it in its
+    own run, so every unordered pair is examined once and the cost is
+    near-linear for bounded density.
     """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if not threshold > 0:
         raise ConfigError("threshold must be positive")
-    key = _pack_cells(pts, threshold)
+    pts = np.asarray(points, dtype=float)
+    c = np.floor(pts / threshold).astype(np.int64)
+    # pack (cx, cy) into one int64 key; coordinates are far below 2^30 cells
+    key = (c[:, 0] << 31) + c[:, 1]
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    uniq, start = np.unique(skey, return_index=True)
-    counts = np.diff(np.append(start, n))
-
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    t2 = threshold * threshold
     x = pts[order, 0]
     y = pts[order, 1]
+    idx = np.arange(len(skey))
+    t2 = threshold * threshold
+    out_i: list[np.ndarray] = []
+    out_j: list[np.ndarray] = []
     for dx, dy in _FWD_OFFSETS:
         tk = skey + ((dx << 31) + dy)
-        pos = np.searchsorted(uniq, tk)
-        pos_c = np.minimum(pos, len(uniq) - 1)
-        ok = uniq[pos_c] == tk
-        if not ok.any():
-            continue
-        src = np.nonzero(ok)[0]
-        g = pos_c[src]
-        cnt = counts[g]
-        tot = int(cnt.sum())
-        if tot == 0:
-            continue
-        rep_src = np.repeat(src, cnt)
-        seg = np.repeat(start[g], cnt)
-        within = np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        cand = seg + within
-        if dx == 0 and dy == 0:
-            keep = rep_src < cand
-            rep_src, cand = rep_src[keep], cand[keep]
-        if len(rep_src) == 0:
-            continue
-        d2 = (x[rep_src] - x[cand]) ** 2 + (y[rep_src] - y[cand]) ** 2
-        hit = d2 < t2
-        out_i.append(rep_src[hit])
+        hi = np.searchsorted(skey, tk, "right")
+        lo = idx + 1 if dx == dy == 0 else np.searchsorted(skey, tk, "left")
+        cnt = hi - lo
+        src = np.repeat(idx, cnt)
+        cand = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(src))
+        hit = (x[src] - x[cand]) ** 2 + (y[src] - y[cand]) ** 2 < t2
+        out_i.append(src[hit])
         out_j.append(cand[hit])
-
-    if not out_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    si = np.concatenate(out_i)
-    sj = np.concatenate(out_j)
-    i0 = order[si]
-    j0 = order[sj]
-    lo = np.minimum(i0, j0)
-    hi = np.maximum(i0, j0)
-    return lo, hi
+    i0 = order[np.concatenate(out_i)]
+    j0 = order[np.concatenate(out_j)]
+    return np.minimum(i0, j0), np.maximum(i0, j0)
 
 
 def prune_close_pairs(points: np.ndarray, threshold: float) -> np.ndarray:
@@ -150,29 +121,22 @@ class PartSample:
         return 1.0 - len(self.points) / self.raw_count
 
 
-def _check_build_args(n: int, epsilon: float) -> None:
-    if n < N_MIN:
-        raise ConfigError(f"n must be >= {N_MIN}, got {n}")
+def _pruned_part(domain: regions.Region, epsilon: float, seed, part: str) -> PartSample:
+    """Poisson sample on ``domain`` from the ``part`` substream, pruned at distance 1."""
     if not (0.0 <= epsilon <= 0.01):
         raise ConfigError(f"epsilon must be in [0, 0.01], got {epsilon}")
+    raw = poisson.sample_poisson(domain, Density(epsilon), as_seed(seed).substream(part))
+    return PartSample(prune_close_pairs(raw, 1.0), len(raw))
 
 
 def build_rect_points(n: int, epsilon: float, seed) -> PartSample:
     """Poisson sample on the strip, then close-pair pruning at distance 1."""
-    _check_build_args(n, epsilon)
-    raw = poisson.sample_poisson(
-        regions.rect_domain(n), Density(epsilon), as_seed(seed).substream("rect")
-    )
-    return PartSample(prune_close_pairs(raw, 1.0), len(raw))
+    return _pruned_part(regions.rect_domain(n), epsilon, seed, PART_RECT)
 
 
 def build_lobe_points(n: int, epsilon: float, seed) -> PartSample:
     """Poisson sample on the wedge pair, pruned like the strip part."""
-    _check_build_args(n, epsilon)
-    raw = poisson.sample_poisson(
-        regions.lobe_domain(n), Density(epsilon), as_seed(seed).substream("lobes")
-    )
-    return PartSample(prune_close_pairs(raw, 1.0), len(raw))
+    return _pruned_part(regions.lobe_domain(n), epsilon, seed, PART_LOBES)
 
 
 def build_circle_points(n: int) -> np.ndarray:
@@ -229,12 +193,10 @@ def assemble(n: int, epsilon: float, seed) -> Construction:
     lobes = build_lobe_points(n, epsilon, seed)
     circle = build_circle_points(n)
 
-    pts = np.vstack([rect.points, lobes.points, circle])
-    labels = np.concatenate([
-        np.full(len(rect.points), PART_CODES[PART_RECT], dtype=np.int8),
-        np.full(len(lobes.points), PART_CODES[PART_LOBES], dtype=np.int8),
-        np.full(len(circle), PART_CODES[PART_CIRCLE], dtype=np.int8),
-    ])
+    parts = [rect.points, lobes.points, circle]          # in PART_CODES order
+    pts = np.vstack(parts)
+    labels = np.repeat(np.array(list(PART_CODES.values()), dtype=np.int8),
+                       [len(p) for p in parts])
     if not np.isfinite(pts).all():
         raise InvariantViolation("non-finite coordinate in construction")
 

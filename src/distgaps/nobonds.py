@@ -213,8 +213,15 @@ def estimate_mu_nu(
 
     area = regions.area(region)
     a_ann = math.pi * (bond.hi**2 - bond.lo**2)
-    c_mu = 0.5 * epsilon**2 * area * a_ann
-    c_nu = 0.5 * epsilon**3 * area * a_ann**2
+    try:
+        c_mu = 0.5 * epsilon**2 * area * a_ann
+        c_nu = 0.5 * epsilon**3 * area * a_ann**2
+    except OverflowError:            # a float power past the float range
+        c_mu = c_nu = math.inf
+    if not (math.isfinite(c_mu) and math.isfinite(c_nu)):
+        raise ConfigError(
+            f"density {epsilon} with bond [{bond.lo}, {bond.hi}) overflows the mu/nu scales"
+        )
 
     rng = as_seed(seed).substream("munu").generator()
     hit_y = 0

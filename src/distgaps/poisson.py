@@ -25,6 +25,8 @@ from .errors import ConfigError, DegenerateRegionError
 from .regions import Density, Region
 
 _MIN_ACCEPT_RATE = 1e-4
+# numpy's Poisson sampler rejects larger means (its POISSON_LAM_MAX)
+_MAX_POISSON_MEAN = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,11 @@ def sample_poisson(region: Region, density: Density, seed) -> np.ndarray:
     """
     seed = as_seed(seed)
     mean = regions.measure(region, density)
-    if not math.isfinite(mean):
-        raise ConfigError(f"region measure must be finite, got {mean}")
+    if not mean <= _MAX_POISSON_MEAN:
+        raise ConfigError(
+            f"Poisson mean {mean} at density {density.value} is not finite "
+            f"or exceeds {_MAX_POISSON_MEAN:.6g}"
+        )
     count = int(seed.substream("count").generator().poisson(mean))
     return uniform_in_region(region, count, seed.substream("points").generator())
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -128,13 +129,17 @@ def test_bad_region_json_is_config_error(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--bond-hi", "inf"), ("--bond-hi", "1e200"), ("--density", "nan"), ("--density", "inf"),
+    ("--density", "1e30"), ("--density", "1e200"),
 ])
 def test_bad_bond_or_density_is_config_error(capsys, flag, value):
+    # valid counts, so that only the bad value can fail the run
     args = {"--density": "1.0", "--bond-lo": "0.1", "--bond-hi": "0.2", flag: value}
     rc = main(["nobonds-verify", "--region", '{"kind": "disk", "radius": 1}',
-               *[a for kv in args.items() for a in kv], "--samples", "10000", "--trials", "10"])
+               *[a for kv in args.items() for a in kv], "--samples", "10000", "--trials", "100"])
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(float(value)) in err
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -195,6 +200,19 @@ def test_construct_config_hash_follows_settings(capsys):
     first = config_hash()
     assert config_hash("--memory-budget", str(64 << 20)) != first
     assert config_hash() == first
+
+
+def test_construct_times_the_assembly(monkeypatch, capsys):
+    # elapsed_ms covers assemble, as in run_construct and the scaling records
+    assemble = construction.assemble
+
+    def slow_assemble(*args):
+        time.sleep(0.25)
+        return assemble(*args)
+
+    monkeypatch.setattr(construction, "assemble", slow_assemble)
+    assert main(["construct", "--n", "20000", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["elapsed_ms"] >= 250
 
 
 def test_config_error_exit_code():

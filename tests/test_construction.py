@@ -80,6 +80,36 @@ def test_prune_matches_brute_force_random(count, seed):
     assert np.array_equal(got, want)
 
 
+def brute_close_pairs(pts, threshold):
+    """Oracle: every pair (i, j), i < j, with squared distance below threshold^2."""
+    t2 = threshold * threshold
+    pairs = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if (pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2 < t2:
+                pairs.append((i, j))
+    return sorted(pairs)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=80),
+    st.lists(st.integers(0, 79), max_size=10),
+    st.sampled_from([0.3, 1.0, 2.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_close_pairs_equals_double_loop(cells, dups, threshold):
+    # half-threshold lattice centred on 0: negative cells, points on cell
+    # edges, pairs exactly at the threshold, and duplicated points
+    pts = np.array(cells, dtype=float).reshape(-1, 2) * (0.5 * threshold)
+    if len(pts):
+        pts = np.vstack([pts, pts[[d % len(pts) for d in dups]]])
+    i, j = close_pairs(pts, threshold)
+    assert np.all(i < j)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(set(got))          # each pair reported once
+    assert sorted(got) == brute_close_pairs(pts, threshold)
+
+
 def test_min_pairwise_distance_grid_vs_brute(rng_session):
     pts = rng_session.uniform(0.0, 30.0, size=(400, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))

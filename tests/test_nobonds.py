@@ -153,6 +153,18 @@ def test_mu_rejects_bad_density_before_sampling(monkeypatch, density):
         estimate_mu_nu(UNIT_SQUARE, density, BondSpec(0.3, 0.4), 10_000, Seed(1))
 
 
+@pytest.mark.parametrize("density, hi", [(1e200, 0.4), (1e120, 0.4), (1e102, 1e3), (2.0, 1e150)])
+def test_mu_rejects_overflowing_scales_before_sampling(monkeypatch, density, hi):
+    # epsilon**2, epsilon**3 or a_ann**2 past the float range, or a product
+    # that overflows to inf: a ConfigError before any sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled with overflowing mu/nu scales")
+
+    monkeypatch.setattr(nobonds, "uniform_in_region", no_sampling)
+    with pytest.raises(ConfigError, match="overflows"):
+        estimate_mu_nu(UNIT_SQUARE, density, BondSpec(0.3, hi), 10_000, Seed(1))
+
+
 def test_bond_hi_needs_a_finite_square():
     for hi in (math.inf, 1e200):
         with pytest.raises(ConfigError):
@@ -234,13 +246,16 @@ _T = nobonds._BRUTE_MAX_POINTS
 def test_count_bonds_matches_double_loop(n, lo, hi):
     # integer lattice points in a 9 x 9 square (times 0.3 for the last
     # bond): many duplicates, and many pairs exactly at lo and at hi;
-    # above _T the close-pair grid takes over
+    # above _T the close-pair grid takes over.  The square sits at [0, 8]
+    # and, centred, at [-4, 4], where its grid cells cross index 0.
     rng = np.random.default_rng(n)
-    pts = rng.integers(0, 9, size=(n, 2)).astype(float)
-    if lo == 0.3:
-        pts *= 0.3
+    lattice = rng.integers(0, 9, size=(n, 2)).astype(float)
     bond = BondSpec(lo, hi)
-    assert count_bonds(pts, bond) == brute_bond_count(pts, bond)
+    for shift in (0.0, 4.0):
+        pts = lattice - shift
+        if lo == 0.3:
+            pts *= 0.3
+        assert count_bonds(pts, bond) == brute_bond_count(pts, bond)
 
 
 def test_count_bonds_small_cases():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ def test_zero_density_always_empty():
     for s in range(20):
         pts = sample_poisson(Disk(3.0), Density(0.0), Seed(s))
         assert len(pts) == 0
+
+
+@pytest.mark.parametrize("density", [1e30, 1e200, 1e308])
+def test_mean_beyond_poisson_range_is_config_error(density):
+    # finite densities whose expected count numpy's Poisson sampler rejects
+    # (1e308 over a 100 x 100 box overflows to inf)
+    with pytest.raises(ConfigError, match=f"Poisson mean .* at density {re.escape(str(density))}"):
+        sample_poisson(Rectangle(50.0, 50.0), Density(density), Seed(1))
 
 
 def test_determinism_bit_identical():
