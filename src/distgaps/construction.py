@@ -50,18 +50,18 @@ def class_limits(n: int) -> tuple[float, float]:
 # Uniform-grid close-pair machinery
 # ---------------------------------------------------------------------------
 
-_FWD_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1))
-
 
 def close_pairs(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j, with |p_i - p_j| strictly below threshold.
 
     The points are sorted by a packed key of their grid cell (side =
-    threshold), so each occupied cell is one run of the sorted order.  Each
-    point is joined with the run of each forward neighbour cell, found by
-    binary search on the sorted keys, and with the points after it in its
-    own run, so every unordered pair is examined once and the cost is
-    near-linear for bounded density.
+    threshold), so each occupied cell is one run of the sorted order, and
+    cells (cx, cy) and (cx, cy + 1) have consecutive keys.  So the forward
+    neighbours of a point's cell are two runs of keys: its own cell (the
+    points after it) with the cell above, and the three cells of the next
+    column, (cx + 1, cy - 1..cy + 1).  Each run is found by binary search
+    on the sorted keys, three searches in all; every unordered pair is
+    examined once and the cost is near-linear for bounded density.
     """
     if not threshold > 0:
         raise ConfigError("threshold must be positive")
@@ -74,13 +74,13 @@ def close_pairs(points: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     x = pts[order, 0]
     y = pts[order, 1]
     idx = np.arange(len(skey))
+    nxt = skey + (1 << 31)               # the key of (cx + 1, cy)
+    runs = ((idx + 1, np.searchsorted(skey, skey + 1, "right")),
+            (np.searchsorted(skey, nxt - 1, "left"), np.searchsorted(skey, nxt + 1, "right")))
     t2 = threshold * threshold
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
-    for dx, dy in _FWD_OFFSETS:
-        tk = skey + ((dx << 31) + dy)
-        hi = np.searchsorted(skey, tk, "right")
-        lo = idx + 1 if dx == dy == 0 else np.searchsorted(skey, tk, "left")
+    for lo, hi in runs:
         cnt = hi - lo
         src = np.repeat(idx, cnt)
         cand = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(src))

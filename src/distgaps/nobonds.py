@@ -263,8 +263,14 @@ def _annulus_partner_inside(
     c = len(xs)
     rho = np.sqrt(rng.uniform(lo2, hi2, c))
     alpha = rng.uniform(0.0, 2.0 * math.pi, c)
-    pts = xs + np.column_stack([rho * np.cos(alpha), rho * np.sin(alpha)])
-    return np.asarray(regions.contains(region, pts), dtype=bool)
+    # the partners, built in place in the rows of one array: cos(alpha) * rho
+    # + x is the sum that xs + column_stack([rho * cos, rho * sin]) makes
+    buf = np.empty((2, c))
+    for row, trig, coord in zip(buf, (np.cos, np.sin), xs.T):
+        trig(alpha, out=row)
+        row *= rho
+        row += coord
+    return np.asarray(regions.contains(region, buf.T), dtype=bool)
 
 
 def count_bonds(points: np.ndarray, bond: BondSpec) -> int:
@@ -297,9 +303,12 @@ def empirical_no_bond_prob(
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")
     seed = as_seed(seed)
+    density = Density(epsilon)
+    # one generator for every trial, rekeyed to each trial's substreams
+    rng = seed.generator()
     zero = 0
     for t in range(trials):
-        pts = sample_poisson(region, Density(epsilon), seed.substream(f"trial-{t:07d}"))
+        pts = sample_poisson(region, density, seed.substream(f"trial-{t:07d}"), rng)
         if count_bonds(pts, bond) == 0:
             zero += 1
     p_hat = zero / trials

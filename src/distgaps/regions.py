@@ -9,8 +9,15 @@ directions {0, pi} strictly below ``0.5*(R - r)**(-1/4)``.
 The lobes widen toward the outer radius and never wrap (max half-width 0.5
 radian), so the two antipodal wedges are disjoint.
 
-The lobe membership test first keeps the points whose ``s = x*x + y*y``
-lies in the band ``(0.9R)^2 (1 - 1e-12) < s < (R-1)^2 (1 + 1e-12)``, about a
+``contains`` takes points as any ``(N, 2)`` array or view, and does not
+copy a float one: the samplers pass the transpose of a ``(2, N)`` column
+buffer, whose columns are contiguous.
+
+The lobe membership test runs over slices of ``_LOBE_SLICE`` points, so
+its temporaries stay in cache and do not grow with the batch; each point's
+decision depends on that point alone.  In each slice it first keeps the
+points whose ``s = x*x + y*y`` lies in the band
+``(0.9R)^2 (1 - 1e-12) < s < (R-1)^2 (1 + 1e-12)``, about a
 tenth of the bounding box, and runs the exact ``hypot``/``arctan2`` test on
 those only.  ``s`` and ``hypot`` are each within a few ulps of the true
 r^2 and r, far inside the 1e-12 widening, so no point that the exact test
@@ -33,6 +40,8 @@ N_MIN = 10_000
 
 # relative widening of the lobes' radial band when it is tested on x*x + y*y
 _BAND_MARGIN = 1e-12
+# points per slice of the lobes' test (256 KiB per float temporary)
+_LOBE_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,24 +115,33 @@ def contains(region: Region, p) -> bool | np.ndarray:
     elif isinstance(region, Disk):
         out = x * x + y * y <= region.radius * region.radius
     elif isinstance(region, PolarLobes):
-        R = region.outer_radius
-        lo, hi = 0.9 * R, R - 1.0
-        s = np.multiply(x, x)
-        s += y * y
-        # band prefilter on s ~ r^2, widened far beyond its few-ulp error;
-        # the exact test below runs on the survivors only
-        cand = np.flatnonzero((s > lo * lo * (1.0 - _BAND_MARGIN))
-                              & (s < hi * hi * (1.0 + _BAND_MARGIN)))
-        r = np.hypot(x[cand], y[cand])
-        radial = (r > lo) & (r < hi)
-        cand, r = cand[radial], r[radial]
-        theta = np.arctan2(y[cand], x[cand])
-        axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
         out = np.zeros(len(pts), dtype=bool)
-        out[cand] = axis_dist < 0.5 * (R - r) ** -0.25
+        # slice by slice, so the test's temporaries do not grow with the batch
+        for a in range(0, len(pts), _LOBE_SLICE):
+            b = a + _LOBE_SLICE
+            _mark_lobes(region, x[a:b], y[a:b], out[a:b])
     else:
         raise ConfigError(f"unknown region type {type(region)!r}")
     return bool(out[0]) if scalar else out
+
+
+def _mark_lobes(region: PolarLobes, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Set ``out`` (all False) to True at the points (x, y) in the lobes."""
+    R = region.outer_radius
+    lo, hi = 0.9 * R, R - 1.0
+    s = x * x
+    s += y * y
+    # band prefilter on s ~ r^2, widened far beyond its few-ulp error;
+    # the exact test below runs on the survivors only
+    band = s > lo * lo * (1.0 - _BAND_MARGIN)
+    band &= s < hi * hi * (1.0 + _BAND_MARGIN)
+    cand = np.flatnonzero(band)
+    r = np.hypot(x[cand], y[cand])
+    radial = (r > lo) & (r < hi)
+    cand, r = cand[radial], r[radial]
+    theta = np.arctan2(y[cand], x[cand])
+    axis_dist = np.minimum(np.abs(theta), np.pi - np.abs(theta))
+    out[cand] = axis_dist < 0.5 * (R - r) ** -0.25
 
 
 def area(region: Region) -> float:

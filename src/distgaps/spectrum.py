@@ -7,12 +7,14 @@ groups of whole rows of at least ``_SELECT`` values filled into one small
 reused buffer, selects the distances in the range into a chunk of exactly
 their count, and the chunk is sorted.  When all ``m = N(N-1)/2``
 distances fit, the spectrum is the one range [0, inf), with no histogram
-and no file.  Otherwise one histogram pass splits the distances into
-consecutive ranges of at most ``cap`` distances, and each range's sorted
-chunk is appended to one unnamed temporary file (8 bytes per distance),
-which backs a read-only memmap.  The file has no name to clean up: the
-kernel frees it with the memmap, when the spectrum goes, and an error or
-a killed process leaves nothing behind.
+and no file; that pass keeps every value, so it fills each group straight
+into its slot of the chunk, with no buffer.  Otherwise one histogram pass
+splits the distances into consecutive ranges of at most ``cap``
+distances, and each range's sorted chunk is appended to one unnamed
+temporary file (8 bytes per distance), which backs a read-only memmap.
+The file has no name to clean up: the kernel frees it with the memmap,
+when the spectrum goes, and an error or a killed process leaves nothing
+behind.
 
 Histogram bins are prefixes of the float64 bit patterns, which order like
 the values for non-negative floats, so bin ends are floats and a pass
@@ -148,42 +150,62 @@ def _sorted_range(x: np.ndarray, y: np.ndarray, lo: float, hi: float, count: int
     """The ``count`` distances v with lo <= v < hi, in one pass, sorted."""
     chunk = np.empty(count)
     pos = 0
-    for part in _blocks(x, y):
-        kept = _select(part, lo, hi)
-        chunk[pos:pos + len(kept)] = kept
-        pos += len(kept)
+    if lo == 0.0 and hi == math.inf:
+        # every distance is kept: each group is filled straight into its slot
+        for i0, i1, size in _groups(len(x)):
+            _fill_rows_into(chunk[pos:pos + size], x, y, i0, i1)
+            pos += size
+    else:
+        for part in _blocks(x, y):
+            kept = _select(part, lo, hi)
+            chunk[pos:pos + len(kept)] = kept
+            pos += len(kept)
     assert pos == count
     chunk.sort()
     return chunk
 
 
 def _fill_rows_into(block: np.ndarray, x, y, i0: int, i1: int) -> None:
+    """The distances of rows i0..i1-1, row after row, into ``block``.  Each
+    row's dx*dx is formed in place in its slot and dy*dy in one scratch row,
+    so no row allocates."""
     n = len(x)
+    scratch = np.empty(n - 1 - i0)
     pos = 0
     for r in range(i0, i1):
         cnt = n - 1 - r
-        dx = x[r] - x[r + 1:]
-        dy = y[r] - y[r + 1:]
-        np.sqrt(dx * dx + dy * dy, out=block[pos:pos + cnt])
+        d, dy = block[pos:pos + cnt], scratch[:cnt]
+        np.subtract(x[r], x[r + 1:], d)
+        np.multiply(d, d, d)
+        np.subtract(y[r], y[r + 1:], dy)
+        np.multiply(dy, dy, dy)
+        np.add(d, dy, d)
+        np.sqrt(d, d)
         pos += cnt
 
 
-def _blocks(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
-    """Every pair distance, in groups of whole rows of at least ``_SELECT``
-    values (the last group may hold fewer), filled one group at a time into
-    one reused buffer of ``_SELECT`` + N values, so no temporary a pass
-    makes from a group outgrows it."""
-    n = len(x)
-    buf = np.empty(_SELECT + n)
+def _groups(n: int) -> Iterator[tuple[int, int, int]]:
+    """Rows i0..i1-1 of the N-point set, with their value count, in groups
+    of whole rows of at least ``_SELECT`` values (the last group may hold
+    fewer); every pass walks these groups."""
     i0 = 0
     while i0 < n - 1:
         i1, size = i0, 0
         while size < _SELECT and i1 < n - 1:
             size += n - 1 - i1
             i1 += 1
+        yield i0, i1, size
+        i0 = i1
+
+
+def _blocks(x: np.ndarray, y: np.ndarray) -> Iterator[np.ndarray]:
+    """Every pair distance, group by group, filled one group at a time into
+    one reused buffer of ``_SELECT`` + N values, so no temporary a pass
+    makes from a group outgrows it."""
+    buf = np.empty(_SELECT + len(x))
+    for i0, i1, size in _groups(len(x)):
         _fill_rows_into(buf[:size], x, y, i0, i1)
         yield buf[:size]
-        i0 = i1
 
 
 def _as_float(bits: int) -> float:

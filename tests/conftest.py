@@ -62,8 +62,10 @@ def min_pairwise_distance(points, cutoff: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Sampling oracles: the membership test and the rejection sampler as they
-# were before the lobes' band prefilter and the index gathers.  The library
-# must reproduce them bit for bit, random draws included.
+# were before the lobes' band prefilter and the index gathers, and the
+# partner draw and the trial samples as they were before the column
+# buffers and the rekeyed generator.  The library must reproduce them bit
+# for bit, random draws included.
 # ---------------------------------------------------------------------------
 
 
@@ -112,6 +114,28 @@ def oracle_uniform_in_region(region, count: int, rng) -> np.ndarray:
             raise DegenerateRegionError(
                 f"acceptance rate {got / attempted:.2e} below {1e-4}"
             )
+    return out
+
+
+def oracle_annulus_partner_inside(region, xs, lo2: float, hi2: float, rng) -> np.ndarray:
+    """Whether each centre's annulus partner lies in the region, the
+    partners built as xs + column_stack(...)."""
+    c = len(xs)
+    rho = np.sqrt(rng.uniform(lo2, hi2, c))
+    alpha = rng.uniform(0.0, 2.0 * math.pi, c)
+    pts = xs + np.column_stack([rho * np.cos(alpha), rho * np.sin(alpha)])
+    return np.asarray(oracle_contains(region, pts), dtype=bool)
+
+
+def oracle_no_bond_samples(region, epsilon: float, trials: int, seed) -> list:
+    """The Poisson sample of each of ``empirical_no_bond_prob``'s trials,
+    drawn with two fresh generators per trial."""
+    mean = regions.measure(region, regions.Density(epsilon))
+    out = []
+    for t in range(trials):
+        trial = seed.substream(f"trial-{t:07d}")
+        count = int(trial.substream("count").generator().poisson(mean))
+        out.append(oracle_uniform_in_region(region, count, trial.substream("points").generator()))
     return out
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distgaps.construction import (
     DistanceClass,
@@ -96,6 +96,7 @@ def brute_close_pairs(pts, threshold):
     st.lists(st.integers(0, 79), max_size=10),
     st.sampled_from([0.3, 1.0, 2.5]),
 )
+@example(cells=[(a, b) for a in range(-3, 4) for b in range(-3, 4)], dups=[], threshold=1.0)
 @settings(max_examples=200, deadline=None)
 def test_close_pairs_equals_double_loop(cells, dups, threshold):
     # half-threshold lattice centred on 0: negative cells, points on cell

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from distgaps import nobonds
-from distgaps.construction import DistanceClass
+from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import ConfigError, ConvergenceError
 from distgaps.nobonds import (
     BondSpec,
@@ -19,8 +20,9 @@ from distgaps.nobonds import (
     mu_scaling_survey,
     random_janson_instance,
 )
-from distgaps.poisson import Seed
-from distgaps.regions import Disk, Rectangle
+from distgaps.poisson import Seed, uniform_in_region
+from distgaps.regions import Disk, PolarLobes, Rectangle, lobe_domain
+from tests.conftest import oracle_annulus_partner_inside, oracle_no_bond_samples
 
 UNIT_SQUARE = Rectangle(0.5, 0.5)
 
@@ -197,9 +199,92 @@ def test_mu_canonical_bond_on_strip_matches_pinned_bracket():
     assert abs(est.mu - want) <= 4.0 * est.mu_stderr
 
 
+_D6 = nominal_diameter(10**6)
+
+
+@pytest.mark.parametrize("region, lo, hi", [
+    (UNIT_SQUARE, 0.3, 0.4), (Disk(0.5), 0.1, 0.35), (PolarLobes(10**6), 8.0, 8.125),
+    (PolarLobes(10**6), _D6 - 16.0, _D6 - 15.875)], ids=repr)
+def test_annulus_partner_matches_oracle(region, lo, hi):
+    # partners built in the rows of one array make the same sums and the
+    # same decisions, and leave the generator where the oracle leaves it
+    for s in (1, 2):
+        xs = uniform_in_region(region, 2**16 + 5, Seed(s).generator())
+        rng, oracle_rng = Seed(s, "partner").generator(), Seed(s, "partner").generator()
+        got = nobonds._annulus_partner_inside(region, xs, lo * lo, hi * hi, rng)
+        want = oracle_annulus_partner_inside(region, xs, lo * lo, hi * hi, oracle_rng)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
+
+
+def test_sampler_memory_stays_in_its_buffers():
+    # one (2, batch) buffer (16 bytes per batch point) and the output (16
+    # bytes per point), plus 4 MiB for the membership mask and the lobes'
+    # per-slice temporaries; (batch, 2) batches and whole-batch membership
+    # temporaries peaked at 40.3 MiB in both calls
+    count = 2**19
+    bound = 16 * (2 * count) + 16 * count + (4 << 20)
+    region = lobe_domain(10**6)
+    bond = BondSpec(_D6 - 16.0, _D6 - 15.875)
+    tracemalloc.start()
+    try:
+        uniform_in_region(region, count, Seed(1).generator())
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        estimate_mu_nu(region, 1e-3, bond, count, Seed(1))   # one chunk of 2**19
+        chunk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler_peak <= bound
+    assert chunk_peak <= bound
+
+
 # ---------------------------------------------------------------------------
 # empirical zero-bond probability and the bracket check
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("region, epsilon, lo, hi", [
+    (UNIT_SQUARE, 5.0, 0.1, 0.15), (Disk(0.5), 10.0, 0.85, 0.9), (PolarLobes(10**6), 5e-5, 40.0, 60.0)],
+    ids=repr)
+def test_no_bond_trials_match_fresh_generators(monkeypatch, region, epsilon, lo, hi):
+    # one rekeyed generator draws every trial's sample as two fresh ones did
+    bond, seed = BondSpec(lo, hi), Seed(11, "nb")
+    seen = []
+
+    def spy(points, b):
+        seen.append(points.tobytes())
+        return count_bonds(points, b)
+
+    monkeypatch.setattr(nobonds, "count_bonds", spy)
+    p_hat, ci = empirical_no_bond_prob(region, epsilon, bond, 100, seed)
+    want = oracle_no_bond_samples(region, epsilon, 100, seed)
+    assert seen == [pts.tobytes() for pts in want]
+    zero = sum(count_bonds(pts, bond) == 0 for pts in want)
+    assert 0 < zero < 100
+    assert p_hat == zero / 100
+    lo_w, hi_w = nobonds._wilson(zero, 100, nobonds._WILSON_Z99)
+    assert ci == max(p_hat - lo_w, hi_w - p_hat)
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])
+def test_no_bond_prob_checks_density_once_before_sampling(monkeypatch, density):
+    def no_sampling(*args):
+        raise AssertionError("sampled with a bad density")
+
+    monkeypatch.setattr(nobonds, "sample_poisson", no_sampling)
+    with pytest.raises(ConfigError, match="density must be finite"):
+        empirical_no_bond_prob(UNIT_SQUARE, density, BondSpec(0.1, 0.2), 100, Seed(1))
+    made = []
+
+    def density_spy(value):
+        made.append(value)
+        return nobonds.regions.Density(value)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(nobonds, "Density", density_spy)
+    empirical_no_bond_prob(UNIT_SQUARE, 2.0, BondSpec(0.1, 0.2), 100, Seed(1))
+    assert made == [2.0]
 
 
 def test_no_bond_prob_density_zero():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from distgaps import poisson
 from distgaps.errors import ConfigError
 from distgaps.poisson import Seed, sample_poisson, uniform_in_region
 from distgaps.regions import Density, Disk, PolarLobes, Rectangle
@@ -133,3 +134,55 @@ def test_uniform_in_region_matches_oracle(region, count):
         assert got.shape == (count, 2)
         assert got.tobytes() == want.tobytes()
         assert _state(rng) == _state(oracle_rng)
+
+
+def _used(rng: np.random.Generator) -> np.random.Generator:
+    # part of Philox's four-word buffer consumed, and half of a 64-bit word
+    # left over for the next 32-bit draw
+    rng.random(2)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("low, high", [(-3.0, 3.0), (-0.25, 7.5), (0.5, 0.5 + 2.0**-40),
+                                       (-5e-324, 5e-324), (-2683.0, 2683.0)])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+def test_uniform_into_matches_uniform(low, high, used):
+    # the column buffers' fill: uniform(low, high, size)'s values bit for
+    # bit, and the generator left in the state uniform leaves it in
+    for size in (1, 7, 1024, 2**20 + 3):
+        want_rng, got_rng = Seed(5).generator(), Seed(5).generator()
+        if used:
+            _used(want_rng)
+            _used(got_rng)
+        want = want_rng.uniform(low, high, size)
+        got = np.full(size, np.nan)
+        poisson._uniform_into(got_rng, low, high, got)
+        assert got.tobytes() == want.tobytes()
+        assert _state(got_rng) == _state(want_rng)
+
+
+@pytest.mark.parametrize("seed", [Seed(0), Seed(2**64 - 1, "trial-0000042/points"),
+                                  Seed(7, "survey-1/munu")], ids=repr)
+def test_rekey_reproduces_a_fresh_generator(seed):
+    rng = _used(Seed(99, "elsewhere").generator())
+    fresh = seed.generator()
+    assert seed.rekey(rng) is rng
+    assert _state(rng) == _state(fresh)
+    assert rng.random(5).tobytes() == fresh.random(5).tobytes()
+    assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
+        fresh.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+    assert rng.poisson(3.5, 4).tolist() == fresh.poisson(3.5, 4).tolist()
+    assert _state(rng) == _state(fresh)
+
+
+@pytest.mark.parametrize("region", [Rectangle(3.0, 0.5), Disk(2.0), PolarLobes(10**6)], ids=repr)
+def test_sample_with_a_reused_generator_is_the_fresh_sample(region):
+    density = Density(2e-4 if isinstance(region, PolarLobes) else 3.0)
+    rng = _used(Seed(99).generator())
+    for s in range(20):
+        want = sample_poisson(region, density, Seed(s, "reuse"))
+        got = sample_poisson(region, density, Seed(s, "reuse"), rng)
+        assert got.tobytes() == want.tobytes()

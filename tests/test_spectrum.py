@@ -113,16 +113,17 @@ def test_range_passes_any_group_size(monkeypatch, select):
 def test_cap_boundary(rng_session, count):
     # at the 4 MiB floor, 887 points (m = 392,941) fit the cap of 393,216
     # and take one pass, with no histogram and no file; 888 (m = 393,828)
-    # spill
+    # spill; every pass, the buffered ones and the in-place [0, inf) fill,
+    # walks the row groups once
     pts = rng_session.uniform(0.0, 50.0, size=(count, 2))
     with mock.patch.object(spectrum, "_bins", wraps=spectrum._bins) as bins, \
-            mock.patch.object(spectrum, "_blocks", wraps=spectrum._blocks) as blocks:
+            mock.patch.object(spectrum, "_groups", wraps=spectrum._groups) as groups:
         sp = all_pair_distances(pts, memory_budget_bytes=1 << 22)
     spilled = sp.m > _CAP_4MIB
     assert spilled == (count == 888)
     assert isinstance(sp.values, np.memmap) == spilled
     if not spilled:
-        assert bins.call_count == 0 and blocks.call_count == 1
+        assert bins.call_count == 0 and groups.call_count == 1
     assert np.array_equal(np.asarray(sp.values), naive_spectrum(pts))
     sp.close()
 
