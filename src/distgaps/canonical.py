@@ -136,15 +136,13 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     gap_sum = SquaredGapSum()
     max_gap = 0.0
     levels = np.zeros(_LEVELS, dtype=np.int64)   # witnesses inside a unit interval, per level
-    cross_a: list[np.ndarray] = []               # crossing gaps, at most one per integer
-    cross_b: list[np.ndarray] = []
+    cross_a = [np.empty(0)]                      # crossing gaps, at most one per integer
+    cross_b = [np.empty(0)]
     for w in iter_windows(v):
         a, b = w[:-1], w[1:]
         g = b - a
-        if not len(g):
-            continue
         gap_sum.add(g)
-        max_gap = max(max_gap, float(g.max()))
+        max_gap = float(g.max(initial=max_gap))
         fb = b - np.floor(a)
         keep = g > 0.0
         keep &= fb <= 1.0                        # positive, inside one unit interval
@@ -157,8 +155,8 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
             cross_a.append(a[cross])
             cross_b.append(b[cross])
 
-    a = np.concatenate(cross_a) if cross_a else np.empty(0)
-    b = np.concatenate(cross_b) if cross_b else np.empty(0)
+    a = np.concatenate(cross_a)
+    b = np.concatenate(cross_b)
     j = np.floor(a)
     kl, units, kr = _crossing_witnesses(j, a - j, b - j)
     cross_levels = np.bincount(np.concatenate([kl, kr]), minlength=_LEVELS)
@@ -240,14 +238,11 @@ def empty_canonical_survey(
 
     rows: list[SurveyRow] = []
     for cls, ja, jb in ranges:
-        if jb < ja:
-            for k in range(k_max + 1):
-                rows.append(SurveyRow(cls, k, 0, 0.0))
-            continue
+        # an empty class (jb < ja) has no units and an empty slice
         i0 = int(np.searchsorted(v, float(ja), side="left"))
         i1 = int(np.searchsorted(v, float(jb + 1), side="left"))
         occupied = _occupied_cells(v[i0:i1], k_max)
-        units = jb - ja + 1
+        units = max(jb - ja + 1, 0)
         for k in range(k_max + 1):
             empty = (units << k) - occupied[k]
             rows.append(SurveyRow(cls, k, empty, empty * math.ldexp(1.0, -2 * k)))
@@ -256,9 +251,8 @@ def empty_canonical_survey(
 
 def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
     """Occupied level-k cells of sorted values below 2^(53 - k_max), for
-    k = 0..k_max, from the first-split level of each adjacent pair."""
-    if len(sorted_vals) == 0:
-        return [0] * (k_max + 1)
+    k = 0..k_max, from the first-split level of each adjacent pair: the
+    first value's cell (none without values) plus the pairs split by k."""
     # pairs by the binary exponent e of their id XOR (top bit e - 1; e = 0
     # for equal ids), which is below 2^53 and so exact as a float
     by_exp = np.zeros(54, dtype=np.int64)
@@ -270,7 +264,7 @@ def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
     first_split = [0] * (k_max + 1)
     for e in range(1, 54):
         first_split[max(k_max + 1 - e, 0)] += int(by_exp[e])
-    return (1 + np.cumsum(first_split)).tolist()
+    return (min(len(sorted_vals), 1) + np.cumsum(first_split)).tolist()
 
 
 def survey_to_csv(rows: Iterable[SurveyRow], path: str) -> None:

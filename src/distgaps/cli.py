@@ -137,15 +137,7 @@ def _cmd_scaling(args) -> int:
     )
     if cfg.out_csv:
         harness.write_records_csv(records, cfg.out_csv)
-    result = json.dumps({
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "slope_vs_realized": fit.slope_vs_realized,
-        "slope_discrepancy_flag": fit.slope_discrepancy_flag,
-        "n_grid": fit.n_grid,
-        "seeds_per_n": fit.seeds_per_n,
-    })
+    result = json.dumps({**dataclasses.asdict(fit), "config_hash": cfg.config_hash()})
     if cfg.out_json:
         with open(cfg.out_json, "w") as fh:
             fh.write(result + "\n")
@@ -163,16 +155,8 @@ def _cmd_nobonds(args) -> int:
     p_hat, ci = nobonds.empirical_no_bond_prob(region, args.density, bond,
                                                args.trials, Seed(args.seed))
     verdict = nobonds.check_nobonds(est, p_hat, ci)
-    print(json.dumps({
-        "mu": est.mu, "nu": est.nu,
-        "mu_stderr": est.mu_stderr, "nu_stderr": est.nu_stderr,
-        "p_hat": verdict.p_hat, "ci_halfwidth": verdict.ci_halfwidth,
-        "lower": verdict.lower, "upper": verdict.upper,
-        "passed": verdict.passed,
-        "upper_half_nu": verdict.upper_half_nu,
-        "passed_half_nu": verdict.passed_half_nu,
-        "trials": args.trials, "samples": args.samples, "seed": args.seed,
-    }))
+    print(json.dumps({**dataclasses.asdict(est), **dataclasses.asdict(verdict),
+                      "trials": args.trials, "seed": args.seed}))
     return 0 if verdict.passed else 1
 
 

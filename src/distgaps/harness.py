@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__, canonical
 from .construction import Construction, assemble
@@ -97,29 +96,29 @@ def _is_path(v) -> bool:
     return v is None or isinstance(v, str)
 
 
-# HarnessConfig field -> (what a YAML value must be, its check)
+# HarnessConfig field annotation -> (what a YAML value must be, its check)
 _CONFIG_TYPES = {
-    "n_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "seeds_per_n": ("an integer", _is_int),
-    "epsilon": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "base_seed": ("an integer", _is_int),
-    "memory_budget_bytes": ("an integer", _is_int),
-    "out_csv": ("a string or null", _is_path),
-    "out_json": ("a string or null", _is_path),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str | None": ("a string or null", _is_path),
 }
 
 
 def load_config(path: str) -> HarnessConfig:
+    # imported here, its only use: pyyaml is a tenth of the package's import
+    # time, which every command but ``scaling --config`` would pay for nothing
+    import yaml
     with open_input(path) as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    known = set(HarnessConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(HarnessConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        what, ok = _CONFIG_TYPES[key]
+        what, ok = _CONFIG_TYPES[types[key]]
         if not ok(value):
             raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     return HarnessConfig(**data)
@@ -129,11 +128,10 @@ def record_from_construction(
     con: Construction,
     *,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    started_at: float | None = None,
+    started_at: float,
 ) -> RunRecord:
-    """Spectrum, gap statistics, witness audit, and validation for one
-    assembled construction."""
-    t0 = time.perf_counter() if started_at is None else started_at
+    """Spectrum, witness audit, and validation for one assembled
+    construction; ``elapsed_ms`` counts from ``started_at`` (perf_counter)."""
     spec = all_pair_distances(con.points, memory_budget_bytes=memory_budget_bytes)
     audit = canonical.audit_gap_witnesses(spec)
     D = con.diameter_nominal
@@ -151,7 +149,7 @@ def record_from_construction(
         gap_bound_holds=audit.holds,
         deleted_fraction_rect=con.deleted_fraction_rect,
         deleted_fraction_lobes=con.deleted_fraction_lobes,
-        elapsed_ms=int(round((time.perf_counter() - t0) * 1000.0)),
+        elapsed_ms=int(round((time.perf_counter() - started_at) * 1000.0)),
     )
     rec.validate()
     return rec

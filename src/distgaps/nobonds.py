@@ -113,9 +113,9 @@ def janson_exact(instance: JansonInstance) -> JansonExactResult:
         weight[~bit] *= 1.0 - p[x]
     p_exact = float(weight[~blocked].sum())
 
-    edge_p = np.array([p[a] * p[b] for a, b in edges]) if edges else np.empty(0)
-    m_lower = float(np.prod(1.0 - edge_p)) if len(edge_p) else 1.0
-    eps_hat = float(edge_p.max()) if len(edge_p) else 0.0
+    edge_p = np.array([p[a] * p[b] for a, b in edges])
+    m_lower = float(np.prod(1.0 - edge_p))
+    eps_hat = float(edge_p.max(initial=0.0))
 
     adj: list[list[int]] = [[] for _ in range(nv)]
     for a, b in edges:
@@ -289,8 +289,6 @@ def count_bonds(points: np.ndarray, bond: BondSpec) -> int:
         hits = int(np.count_nonzero((d2 >= lo2) & (d2 < hi2)))
         return (hits - (n if lo2 <= 0.0 < hi2 else 0)) // 2
     i, j = close_pairs(pts, bond.hi)
-    if not len(i):
-        return 0
     d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
     return int((d2 >= bond.lo**2).sum())
 

@@ -94,8 +94,6 @@ def uniform_in_region(
     region: Region, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform points by bounding-box rejection."""
-    if count == 0:
-        return np.empty((0, 2))
     box = regions.bounding_box(region)
     exact = isinstance(region, regions.Rectangle)
     out = np.empty((count, 2))

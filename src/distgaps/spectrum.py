@@ -97,7 +97,7 @@ class DistanceSpectrum:
 def all_pair_distances(
     points: np.ndarray,
     *,
-    memory_budget_bytes: int | None = None,
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
 ) -> DistanceSpectrum:
     """Full sorted spectrum of Euclidean pair distances.
 
@@ -120,7 +120,7 @@ def all_pair_distances(
     m = n * (n - 1) // 2
     if m > DEFAULT_HARD_CAP:
         raise SpectrumSizeError(f"{m} pairs exceed the hard cap {DEFAULT_HARD_CAP}")
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget_bytes is None else int(memory_budget_bytes)
+    budget = int(memory_budget_bytes)
     if budget < (1 << 22):
         raise ConfigError("memory budget below 4 MiB is not workable")
 
@@ -344,12 +344,8 @@ def gap_stats(spectrum: DistanceSpectrum) -> GapStats:
     max_gap = 0.0
     for w in iter_windows(v):
         g = np.diff(w)
-        if not len(g):
-            continue
         gap_sum.add(g)
-        mg = float(g.max())
-        if mg > max_gap:
-            max_gap = mg
+        max_gap = float(g.max(initial=max_gap))
     return GapStats(gap_sum_sq=gap_sum.total, max_gap=max_gap, gap_count=len(v) - 1)
 
 

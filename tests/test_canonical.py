@@ -531,16 +531,22 @@ def test_survey_level0_full_coverage():
     assert sum(r.count_empty for r in at0) == 0
 
 
-def test_survey_classes_partition_units_at_small_n():
+def test_survey_classes_partition_units_at_small_n(tmp_path):
     # at n = 1e3 the moderate class ends at 101 > floor(D - 3) = 100, so the
-    # large class is empty and extra-large must start at 102, not 101
+    # large class is empty and extra-large must start at 102, not 101; read
+    # back from a dump, the empty class is an empty view of a file mapping
     n = 10**3
     sp = spectrum_of([1.5, 2.5])
+    write_spectrum(sp, str(tmp_path / "s.bin"))
+    mapped = read_spectrum(str(tmp_path / "s.bin"))
     units = max(math.ceil(nominal_diameter(n)), 3) - 1
     for k_max in (0, 3):
         rows = empty_canonical_survey(sp, n, k_max)
         assert sum(r.count_empty for r in rows if r.k == 0) == units - 2
         assert sum(r.count_empty for r in rows if r.k == k_max) == (units << k_max) - 2
+        assert [r for r in rows if r.dist_class is DistanceClass.LARGE] == [
+            canon.SurveyRow(DistanceClass.LARGE, k, 0, 0.0) for k in range(k_max + 1)]
+        assert empty_canonical_survey(mapped, n, k_max) == rows
     ranges = _class_ranges(n, sp.d_max)
     assert [r[1:] for r in ranges] == [(1, 101), (102, 100), (102, units)]
 

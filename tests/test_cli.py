@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from distgaps import construction
+from distgaps import construction, harness, nobonds
 from distgaps.cli import main
 from distgaps.poisson import Seed
 from distgaps.spectrum import DistanceSpectrum, read_spectrum, write_spectrum
@@ -114,6 +115,10 @@ def test_nobonds_verify_command(capsys):
     out = json.loads(capsys.readouterr().out.strip())
     assert rc == 0
     assert out["passed"] is True
+    fields = {f.name for cls in (nobonds.MuNuEstimate, nobonds.NoBondsVerdict)
+              for f in dataclasses.fields(cls)}
+    assert set(out) == fields | {"trials", "seed"}
+    assert (out["trials"], out["samples"], out["seed"]) == (500, 100_000, 5)
 
 
 def test_bad_region_json_is_config_error(capsys):
@@ -244,7 +249,7 @@ def test_scaling_command_small(tmp_path, capsys):
     ])
     data = json.loads(capsys.readouterr().out.strip())
     assert rc == 0
-    assert "slope" in data and "r_squared" in data
+    assert set(data) == {f.name for f in dataclasses.fields(harness.ScalingFit)} | {"config_hash"}
     assert len(out_csv.read_text().splitlines()) == 13  # header + 12 runs
 
 
@@ -265,11 +270,18 @@ def test_scaling_config_precedence(tmp_path, capsys):
     assert main(["scaling", "--config", str(cfg)]) == 2
     capsys.readouterr()
 
-    rc = main(["scaling", "--config", str(cfg), "--seeds", "3",
-               "--memory-budget", str(64 << 20)])
-    printed = json.loads(capsys.readouterr().out.strip())
-    assert rc == 0
-    assert json.loads(out_json.read_text()) == printed
+    def run(seeds):
+        rc = main(["scaling", "--config", str(cfg), "--seeds", seeds,
+                   "--memory-budget", str(64 << 20)])
+        printed = json.loads(capsys.readouterr().out.strip())
+        assert rc == 0
+        assert json.loads(out_json.read_text()) == printed
+        return printed
+
+    # the hash is the merged config's: the --seeds flag changes it
+    other = run("4")["config_hash"]
+    printed = run("3")
+    assert printed["config_hash"] != other
     assert printed["n_grid"] == [10000, 20000, 40000, 80000]
     assert printed["seeds_per_n"] == 3
     rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
@@ -295,12 +307,14 @@ def test_scaling_config_wrong_type_is_config_error(tmp_path, capsys, line):
 
 
 def test_import_leaves_scipy_out():
-    # scipy is a test dependency only; the library and CLI must not load it
+    # scipy is a test dependency only; the library and CLI must not load it,
+    # nor pyyaml until a config file is read
     import distgaps
 
     src = os.path.dirname(os.path.dirname(distgaps.__file__))
-    code = "import sys, distgaps.cli, distgaps.harness; print('scipy' in sys.modules)"
+    code = ("import sys, distgaps.cli, distgaps.harness; "
+            "print('scipy' in sys.modules, 'yaml' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

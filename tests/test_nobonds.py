@@ -326,21 +326,27 @@ def brute_bond_count(points, bond: BondSpec) -> int:
 _T = nobonds._BRUTE_MAX_POINTS
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, _T - 1, _T, _T + 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, _T - 1, _T, _T + 1, "spaced"])
 @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.5), (0.0, 1.0), (0.3, 0.6)])
 def test_count_bonds_matches_double_loop(n, lo, hi):
     # integer lattice points in a 9 x 9 square (times 0.3 for the last
     # bond): many duplicates, and many pairs exactly at lo and at hi;
     # above _T the close-pair grid takes over.  The square sits at [0, 8]
     # and, centred, at [-4, 4], where its grid cells cross index 0.
-    rng = np.random.default_rng(n)
-    lattice = rng.integers(0, 9, size=(n, 2)).astype(float)
+    # "spaced" is a duplicate-free 23 x 23 lattice (529 > _T points) with
+    # spacing 4, above every hi: the close-pair grid runs and finds no pair.
+    if n == "spaced":
+        lattice = 4.0 * np.indices((23, 23)).reshape(2, -1).T
+    else:
+        lattice = np.random.default_rng(n).integers(0, 9, size=(n, 2)).astype(float)
     bond = BondSpec(lo, hi)
     for shift in (0.0, 4.0):
         pts = lattice - shift
         if lo == 0.3:
             pts *= 0.3
-        assert count_bonds(pts, bond) == brute_bond_count(pts, bond)
+        want = brute_bond_count(pts, bond)
+        assert count_bonds(pts, bond) == want
+        assert n != "spaced" or want == 0
 
 
 def test_count_bonds_small_cases():
