@@ -23,6 +23,7 @@ cell (naive sampling would see ~1e-7 hit rates there).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +33,9 @@ import numpy as np
 from . import regions
 from .construction import DistanceClass, close_pairs, nominal_diameter
 from .errors import ConfigError, ConvergenceError
-from .poisson import as_seed, sample_poisson, uniform_in_region
+from .poisson import (
+    _beside, as_seed, sample_poisson, uniform_in_region, uniform_rows, with_sample_keys,
+)
 from .regions import Density, Region
 
 _WILSON_Z99 = 2.5758293035489004
@@ -67,7 +70,7 @@ class JansonInstance:
         for a, b in self.edges:
             if not (0 <= a < nv and 0 <= b < nv) or a == b:
                 raise ConfigError(f"bad edge ({a}, {b})")
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise ConfigError(f"duplicate edge {key}")
             seen.add(key)
@@ -151,14 +154,12 @@ def random_janson_instance(
     if not 2 <= max_ground_set <= MAX_GROUND_SET:
         raise ConfigError(f"max_ground_set must lie in [2, {MAX_GROUND_SET}], got {max_ground_set}")
     nv = int(rng.integers(2, max_ground_set + 1))
-    probs = tuple(float(v) for v in rng.uniform(0.0, max_prob, nv))
+    probs = tuple(rng.uniform(0.0, max_prob, nv).tolist())
     edge_prob = float(rng.uniform(0.1, 0.9))
-    edges = tuple(
-        (a, b)
-        for a in range(nv)
-        for b in range(a + 1, nv)
-        if rng.random() < edge_prob
-    )
+    # one coin per pair (a, b), a < b, drawn in the order a, then b; one
+    # array draw gives the doubles of that many scalar rng.random() calls
+    coins = rng.random(nv * (nv - 1) // 2) < edge_prob
+    edges = tuple(itertools.compress(itertools.combinations(range(nv), 2), coins.tolist()))
     return JansonInstance(probs, edges)
 
 
@@ -261,15 +262,21 @@ def _annulus_partner_inside(
     rng: np.random.Generator,
 ) -> np.ndarray:
     c = len(xs)
-    rho = np.sqrt(rng.uniform(lo2, hi2, c))
-    alpha = rng.uniform(0.0, 2.0 * math.pi, c)
+    # rho^2 ~ U[lo2, hi2) and alpha ~ U[0, 2pi), drawn one after the other
+    polar = np.empty((2, c))
+    uniform_rows(rng, ((lo2, hi2), (0.0, 2.0 * math.pi)), polar)
+    rho = np.sqrt(polar[0], out=polar[0])
+    alpha = polar[1]
     # the partners, built in place in the rows of one array: cos(alpha) * rho
     # + x is the sum that xs + column_stack([rho * cos, rho * sin]) makes
     buf = np.empty((2, c))
-    for row, trig, coord in zip(buf, (np.cos, np.sin), xs.T):
-        trig(alpha, out=row)
-        row *= rho
-        row += coord
+
+    def partner(k: int) -> None:
+        (np.cos, np.sin)[k](alpha, out=buf[k])
+        buf[k] *= rho
+        buf[k] += xs[:, k]
+
+    _beside(lambda: partner(1), lambda: partner(0), c)
     return np.asarray(regions.contains(region, buf.T), dtype=bool)
 
 
@@ -300,13 +307,14 @@ def empirical_no_bond_prob(
     halfwidth."""
     if trials < 100:
         raise ConfigError(f"need >= 100 trials, got {trials}")
-    seed = as_seed(seed)
     density = Density(epsilon)
+    labels = [f"trial-{t:07d}" for t in range(trials)]
+    seed = with_sample_keys(as_seed(seed), labels)
     # one generator for every trial, rekeyed to each trial's substreams
     rng = seed.generator()
     zero = 0
-    for t in range(trials):
-        pts = sample_poisson(region, density, seed.substream(f"trial-{t:07d}"), rng)
+    for label in labels:
+        pts = sample_poisson(region, density, seed.substream(label), rng)
         if count_bonds(pts, bond) == 0:
             zero += 1
     p_hat = zero / trials

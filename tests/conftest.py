@@ -62,11 +62,22 @@ def min_pairwise_distance(points, cutoff: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Sampling oracles: the membership test and the rejection sampler as they
-# were before the lobes' band prefilter and the index gathers, and the
-# partner draw and the trial samples as they were before the column
-# buffers and the rekeyed generator.  The library must reproduce them bit
-# for bit, random draws included.
+# were before the lobes' band prefilter and the index gathers, the partner
+# draw and the trial samples as they were before the column buffers and the
+# rekeyed generator, and the Janson instances as drawn with one scalar draw
+# per edge coin.  The library must reproduce them bit for bit, random draws
+# included.
 # ---------------------------------------------------------------------------
+
+
+def partly_used(rng: np.random.Generator) -> np.random.Generator:
+    """``rng`` with part of Philox's four-word buffer consumed, and half of a
+    64-bit word left over for the next 32-bit draw."""
+    rng.random(2)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
+    return rng
 
 
 def oracle_contains(region, p):
@@ -137,6 +148,22 @@ def oracle_no_bond_samples(region, epsilon: float, trials: int, seed) -> list:
         count = int(trial.substream("count").generator().poisson(mean))
         out.append(oracle_uniform_in_region(region, count, trial.substream("points").generator()))
     return out
+
+
+def oracle_random_janson_instance(rng, max_ground_set: int = 12, max_prob: float = 0.3):
+    """Random edge system, one scalar draw per edge coin."""
+    from distgaps.nobonds import JansonInstance
+
+    nv = int(rng.integers(2, max_ground_set + 1))
+    probs = tuple(float(v) for v in rng.uniform(0.0, max_prob, nv))
+    edge_prob = float(rng.uniform(0.1, 0.9))
+    edges = tuple(
+        (a, b)
+        for a in range(nv)
+        for b in range(a + 1, nv)
+        if rng.random() < edge_prob
+    )
+    return JansonInstance(probs, edges)
 
 
 @pytest.fixture(scope="session")

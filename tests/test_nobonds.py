@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distgaps import nobonds
+from distgaps import nobonds, poisson
 from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import ConfigError, ConvergenceError
 from distgaps.nobonds import (
@@ -22,7 +22,12 @@ from distgaps.nobonds import (
 )
 from distgaps.poisson import Seed, uniform_in_region
 from distgaps.regions import Disk, PolarLobes, Rectangle, lobe_domain
-from tests.conftest import oracle_annulus_partner_inside, oracle_no_bond_samples
+from tests.conftest import (
+    oracle_annulus_partner_inside,
+    oracle_no_bond_samples,
+    oracle_random_janson_instance,
+    partly_used,
+)
 
 UNIT_SQUARE = Rectangle(0.5, 0.5)
 
@@ -94,6 +99,16 @@ def test_janson_bounds_hold_random(seed):
     rng = np.random.default_rng(seed)
     res = janson_exact(random_janson_instance(rng, max_ground_set=10))
     assert res.bounds_hold
+
+
+def test_random_janson_instances_match_scalar_draws():
+    # one array of edge coins per instance: the instances, and the
+    # generator's whole state after them, of one scalar draw per coin
+    for s in range(50):
+        rng, oracle_rng = Seed(s, "janson").generator(), Seed(s, "janson").generator()
+        for _ in range(200):
+            assert random_janson_instance(rng, 12, 0.3) == oracle_random_janson_instance(oracle_rng, 12, 0.3)
+        assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +232,30 @@ def test_annulus_partner_matches_oracle(region, lo, hi):
         assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["split-above-threshold", "split-always"])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("region", [UNIT_SQUARE, PolarLobes(10**6)], ids=repr)
+def test_annulus_partner_rows_match_oracle(monkeypatch, region, used, split):
+    # the rho and alpha rows drawn as two stream segments, by one thread or
+    # (split-always) two: the oracle's decisions, state and next draws
+    if split:
+        monkeypatch.setattr(poisson, "_SPLIT", 0)
+    lo, hi = (0.3, 0.4) if region == UNIT_SQUARE else (8.0, 8.125)
+    for c in (1, 2, 5, 1023, 2**16 + 3):
+        xs = uniform_in_region(region, c, Seed(c).generator())
+        rng, oracle_rng = Seed(c, "partner").generator(), Seed(c, "partner").generator()
+        if used:
+            partly_used(rng)
+            partly_used(oracle_rng)
+        got = nobonds._annulus_partner_inside(region, xs, lo * lo, hi * hi, rng)
+        want = oracle_annulus_partner_inside(region, xs, lo * lo, hi * hi, oracle_rng)
+        assert np.array_equal(got, want)
+        assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
+        assert rng.random(3).tobytes() == oracle_rng.random(3).tobytes()
+        assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
+            oracle_rng.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+
+
 def test_sampler_memory_stays_in_its_buffers():
     # one (2, batch) buffer (16 bytes per batch point) and the output (16
     # bytes per point), plus 4 MiB for the membership mask and the lobes'
@@ -265,6 +304,28 @@ def test_no_bond_trials_match_fresh_generators(monkeypatch, region, epsilon, lo,
     assert p_hat == zero / 100
     lo_w, hi_w = nobonds._wilson(zero, 100, nobonds._WILSON_Z99)
     assert ci == max(p_hat - lo_w, hi_w - p_hat)
+
+
+def test_no_bond_prob_samples_once_per_trial_with_keys_hashed_once(monkeypatch):
+    # one sample_poisson call per trial, at the trial's substream, and the
+    # keys of all the trials' count and points streams hashed in one
+    # vectorized pass (one more hash keys the shared generator)
+    labels, hashed = [], []
+    real_sample, real_keys = nobonds.sample_poisson, poisson._philox_keys
+
+    def sample_spy(region, density, seed, rng):
+        labels.append(seed.stream_label)
+        return real_sample(region, density, seed, rng)
+
+    def keys_spy(value, tags):
+        hashed.append(np.size(tags))
+        return real_keys(value, tags)
+
+    monkeypatch.setattr(nobonds, "sample_poisson", sample_spy)
+    monkeypatch.setattr(poisson, "_philox_keys", keys_spy)
+    empirical_no_bond_prob(Disk(0.5), 5.0, BondSpec(0.3, 0.4), 150, Seed(4, "nb"))
+    assert labels == [f"nb/trial-{t:07d}" for t in range(150)]
+    assert sorted(hashed) == [1, 300]
 
 
 @pytest.mark.parametrize("density", [math.nan, math.inf, -1.0])

@@ -1,5 +1,6 @@
 import math
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from distgaps import poisson
 from distgaps.errors import ConfigError
 from distgaps.poisson import Seed, sample_poisson, uniform_in_region
 from distgaps.regions import Density, Disk, PolarLobes, Rectangle
-from tests.conftest import oracle_uniform_in_region
+from tests.conftest import oracle_uniform_in_region, partly_used
 
 UNIT_SQUARE = Rectangle(0.5, 0.5)
 
@@ -136,16 +137,6 @@ def test_uniform_in_region_matches_oracle(region, count):
         assert _state(rng) == _state(oracle_rng)
 
 
-def _used(rng: np.random.Generator) -> np.random.Generator:
-    # part of Philox's four-word buffer consumed, and half of a 64-bit word
-    # left over for the next 32-bit draw
-    rng.random(2)
-    rng.integers(0, 2**32, dtype=np.uint32)
-    state = rng.bit_generator.state
-    assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
-    return rng
-
-
 @pytest.mark.parametrize("low, high", [(-3.0, 3.0), (-0.25, 7.5), (0.5, 0.5 + 2.0**-40),
                                        (-5e-324, 5e-324), (-2683.0, 2683.0)])
 @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
@@ -155,8 +146,8 @@ def test_uniform_into_matches_uniform(low, high, used):
     for size in (1, 7, 1024, 2**20 + 3):
         want_rng, got_rng = Seed(5).generator(), Seed(5).generator()
         if used:
-            _used(want_rng)
-            _used(got_rng)
+            partly_used(want_rng)
+            partly_used(got_rng)
         want = want_rng.uniform(low, high, size)
         got = np.full(size, np.nan)
         poisson._uniform_into(got_rng, low, high, got)
@@ -167,8 +158,12 @@ def test_uniform_into_matches_uniform(low, high, used):
 @pytest.mark.parametrize("seed", [Seed(0), Seed(2**64 - 1, "trial-0000042/points"),
                                   Seed(7, "survey-1/munu")], ids=repr)
 def test_rekey_reproduces_a_fresh_generator(seed):
-    rng = _used(Seed(99, "elsewhere").generator())
-    fresh = seed.generator()
+    # numpy's own Philox seeded by SeedSequence([value, crc32(label)]): the
+    # state that Seed.generator() starts in and that rekey restores
+    rng = partly_used(Seed(99, "elsewhere").generator())
+    tag = zlib.crc32(seed.stream_label.encode("utf-8"))
+    fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed.value, tag])))
+    assert _state(seed.generator()) == _state(fresh)
     assert seed.rekey(rng) is rng
     assert _state(rng) == _state(fresh)
     assert rng.random(5).tobytes() == fresh.random(5).tobytes()
@@ -181,8 +176,80 @@ def test_rekey_reproduces_a_fresh_generator(seed):
 @pytest.mark.parametrize("region", [Rectangle(3.0, 0.5), Disk(2.0), PolarLobes(10**6)], ids=repr)
 def test_sample_with_a_reused_generator_is_the_fresh_sample(region):
     density = Density(2e-4 if isinstance(region, PolarLobes) else 3.0)
-    rng = _used(Seed(99).generator())
+    rng = partly_used(Seed(99).generator())
     for s in range(20):
         want = sample_poisson(region, density, Seed(s, "reuse"))
         got = sample_poisson(region, density, Seed(s, "reuse"), rng)
         assert got.tobytes() == want.tobytes()
+
+
+# counts around the Philox block (4 words) and the minimum batch (1024):
+# 1023 and 2**15 + 1 make batch = 2 * count = 2 mod 4, so row 1 starts
+# mid-block; 2**19 + 3 is filled in two threads at the default threshold
+POSITIONED_COUNTS = [0, 1, 2, 3, 4, 5, 7, 8, 11, 511, 512, 513, 1023, 2**15 + 1, 2**19 + 3]
+
+
+def _assert_same_generator(rng, oracle_rng):
+    assert _state(rng) == _state(oracle_rng)
+    assert rng.random(5).tobytes() == oracle_rng.random(5).tobytes()
+    assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
+        oracle_rng.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+    assert _state(rng) == _state(oracle_rng)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["split-above-threshold", "split-always"])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("region", [Rectangle(3.0, 0.5), Disk(2.0), PolarLobes(10**6)], ids=repr)
+def test_positioned_draws_match_oracle(monkeypatch, region, used, split):
+    # only the used prefix of each row drawn, the generator put at each
+    # segment by counter arithmetic: the oracle's points, whole state and
+    # next draws, for fresh and partly used generators, in one thread and
+    # (split-always) with row 1 in a second one
+    if split:
+        monkeypatch.setattr(poisson, "_SPLIT", 0)
+    for count in POSITIONED_COUNTS:
+        rng, oracle_rng = Seed(count, "pos").generator(), Seed(count, "pos").generator()
+        if used:
+            partly_used(rng)
+            partly_used(oracle_rng)
+        got = uniform_in_region(region, count, rng)
+        want = oracle_uniform_in_region(region, count, oracle_rng)
+        assert got.shape == (count, 2)
+        assert got.tobytes() == want.tobytes()
+        _assert_same_generator(rng, oracle_rng)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["split-above-threshold", "split-always"])
+@pytest.mark.parametrize("region", [Disk(2.0), PolarLobes(10**6)], ids=repr)
+def test_short_prefixes_finish_the_batch(monkeypatch, region, split):
+    # a first prefix too short for the count is followed by the rest of
+    # the batch, as after a four-sigma shortfall
+    if split:
+        monkeypatch.setattr(poisson, "_SPLIT", 0)
+    monkeypatch.setattr(poisson, "_box_points", lambda need, region, box: 3)
+    for count in (1, 7, 600, 2**15 + 1):
+        rng, oracle_rng = partly_used(Seed(count).generator()), partly_used(Seed(count).generator())
+        got = uniform_in_region(region, count, rng)
+        assert got.tobytes() == oracle_uniform_in_region(region, count, oracle_rng).tobytes()
+        _assert_same_generator(rng, oracle_rng)
+
+
+@pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_key_pass_matches_seed_sequence(value):
+    # the hash of numpy's SeedSequence, vectorized over labels: 2**32 is
+    # where the seed value takes a second entropy word
+    trials = [f"trial-{t:07d}" for t in range(1000)]
+    labels = ["", "zéro-bond/ε✓"] + [f"{t}/{part}" for t in trials for part in ("count", "points")]
+    crcs = [zlib.crc32(label.encode("utf-8")) for label in labels]
+    want = [tuple(np.random.SeedSequence([value, crc]).generate_state(2, np.uint64).tolist())
+            for crc in crcs]
+    k0, k1 = poisson._philox_keys(value, np.array(crcs, dtype=np.uint32))
+    assert list(zip(k0.tolist(), k1.tolist())) == want
+    # one tag, on Python ints
+    assert [poisson._philox_keys(value, crc) for crc in crcs[:12]] == want[:12]
+    # as Seed derives them, one at a time or all trials' keys at once
+    assert [Seed(value, label)._key() for label in labels[:12]] == want[:12]
+    keyed = poisson.with_sample_keys(Seed(value), trials)
+    got = [keyed.substream(t).substream(part)._key() for t in trials for part in ("count", "points")]
+    assert got == want[2:]
+    assert keyed == Seed(value)
