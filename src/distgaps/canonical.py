@@ -197,6 +197,13 @@ def default_k_max(n: int) -> int:
     return math.ceil((4.0 / 7.0) * math.log2(n)) + 8
 
 
+def check_k_max(k_max: int, j_end: int) -> None:
+    if not (0 <= k_max <= 40):
+        raise ConfigError(f"k_max must be in [0, 40], got {k_max}")
+    if math.ldexp(j_end, k_max) >= 2.0**53:
+        raise ConfigError("k_max too deep for this spectrum range (cell ids inexact)")
+
+
 def empty_canonical_survey(
     spectrum: DistanceSpectrum, n: int, k_max: int
 ) -> list[SurveyRow]:
@@ -217,14 +224,8 @@ def empty_canonical_survey(
     ids never split.  Occupied cells at level k are one plus the pairs that
     split at a level <= k.
     """
-    if not (0 <= k_max <= 40):
-        raise ConfigError(f"k_max must be in [0, 40], got {k_max}")
-    v = spectrum.values
-    D = nominal_diameter(n)
-    d_max = spectrum.d_max
-    J_end = max(math.ceil(D), math.floor(d_max) + 1)
-    if math.ldexp(J_end, k_max) >= 2.0**53:
-        raise ConfigError("k_max too deep for this spectrum range (cell ids inexact)")
+    J_end = max(math.ceil(nominal_diameter(n)), math.floor(spectrum.d_max) + 1)
+    check_k_max(k_max, J_end)
 
     # class of a unit interval [j, j+1) by its left endpoint, clamped to [1, D]
     j_mod_hi, j_large_hi = map(math.floor, class_limits(n))
@@ -239,9 +240,8 @@ def empty_canonical_survey(
     rows: list[SurveyRow] = []
     for cls, ja, jb in ranges:
         # an empty class (jb < ja) has no units and an empty slice
-        i0 = int(np.searchsorted(v, float(ja), side="left"))
-        i1 = int(np.searchsorted(v, float(jb + 1), side="left"))
-        occupied = _occupied_cells(v[i0:i1], k_max)
+        i0, i1 = np.searchsorted(spectrum.values, [float(ja), float(jb + 1)])
+        occupied = _occupied_cells(spectrum.values[i0:i1], k_max)
         units = max(jb - ja + 1, 0)
         for k in range(k_max + 1):
             empty = (units << k) - occupied[k]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -16,7 +17,7 @@ from . import canonical, construction, harness, nobonds, spectrum as spectrum_mo
 from .errors import ConfigError, DistgapsError, InvariantViolation
 from .nobonds import BondSpec
 from .poisson import Seed
-from .regions import region_from_dict
+from .regions import N_MIN, region_from_dict
 
 
 def _add_common_budget(p: argparse.ArgumentParser) -> None:
@@ -62,6 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write per-run CSV records here")
     _add_common_budget(p)
     p.set_defaults(memory_budget=None)     # unset flags fall back to the config
+
+    p = sub.add_parser("survey", help="empty canonical cells per distance class and level")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--k-max", type=int, help="deepest level (default: default_k_max(n))")
+    p.add_argument("--out", required=True, help="CSV destination (class,k,count_empty,sum_sq)")
+    _add_common_budget(p)
 
     p = sub.add_parser("nobonds-verify", help="zero-bond bracket check on one configuration")
     p.add_argument("--region", required=True, help='tagged JSON, e.g. {"kind":"disk","radius":1}')
@@ -128,12 +137,10 @@ def _cmd_scaling(args) -> int:
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     _check_destination(cfg.out_csv)
     _check_destination(cfg.out_json)
-    records: list[harness.RunRecord] = []
-    fit = harness.run_scaling(
+    fit, records = harness.run_scaling(
         cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,
         base_seed=cfg.base_seed,
         memory_budget_bytes=cfg.memory_budget_bytes,
-        records_out=records,
     )
     if cfg.out_csv:
         harness.write_records_csv(records, cfg.out_csv)
@@ -142,6 +149,20 @@ def _cmd_scaling(args) -> int:
         with open(cfg.out_json, "w") as fh:
             fh.write(result + "\n")
     print(result)
+    return 0
+
+
+def _cmd_survey(args) -> int:
+    _check_destination(args.out)
+    if args.n < N_MIN:                  # default_k_max needs a valid n
+        raise ConfigError(f"n must be >= {N_MIN}, got {args.n}")
+    k_max = canonical.default_k_max(args.n) if args.k_max is None else args.k_max
+    canonical.check_k_max(k_max, math.ceil(construction.nominal_diameter(args.n)))
+    con = construction.assemble(args.n, args.epsilon, Seed(args.seed))
+    spec = spectrum_mod.all_pair_distances(con.points, memory_budget_bytes=args.memory_budget)
+    canonical.survey_to_csv(canonical.empty_canonical_survey(spec, args.n, k_max), args.out)
+    print(json.dumps({"n": args.n, "epsilon": args.epsilon, "seed": args.seed,
+                      "points": con.realized_points, "m": spec.m, "k_max": k_max}))
     return 0
 
 
@@ -202,6 +223,7 @@ _HANDLERS = {
     "construct": _cmd_construct,
     "spectrum": _cmd_spectrum,
     "scaling": _cmd_scaling,
+    "survey": _cmd_survey,
     "nobonds-verify": _cmd_nobonds,
     "janson-verify": _cmd_janson,
     "canonical-audit": _cmd_canonical_audit,

@@ -193,8 +193,7 @@ def run_scaling(
     *,
     base_seed: int = 1,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-    records_out: list[RunRecord] | None = None,
-) -> ScalingFit:
+) -> tuple[ScalingFit, list[RunRecord]]:
     """Average gap sums per n over seeds and fit the log-log slope.
 
     Fits against both the parameter n and the realized point count, which
@@ -211,6 +210,7 @@ def run_scaling(
     if seeds_per_n < 3:
         raise ConfigError("need at least 3 seeds per n")
 
+    records: list[RunRecord] = []
     mean_points: list[tuple[float, float]] = []
     realized_points: list[tuple[float, float]] = []
     for n in grid:
@@ -220,8 +220,7 @@ def run_scaling(
             rec = run_construct(
                 n, epsilon, Seed(base_seed + s), memory_budget_bytes=memory_budget_bytes
             )
-            if records_out is not None:
-                records_out.append(rec)
+            records.append(rec)
             sums.append(rec.gap_sum_sq)
             realized.append(rec.realized_points)
         mean_points.append((float(n), float(np.mean(sums))))
@@ -237,7 +236,7 @@ def run_scaling(
         seeds_per_n=seeds_per_n,
         slope_vs_realized=slope_real,
         slope_discrepancy_flag=abs(slope - slope_real) > 0.1,
-    )
+    ), records
 
 
 # ---------------------------------------------------------------------------

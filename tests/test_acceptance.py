@@ -25,7 +25,6 @@ import time
 import numpy as np
 import pytest
 
-from distgaps import harness
 from distgaps.canonical import _unit_witnesses, audit_gap_witnesses
 from distgaps.construction import (
     DistanceClass,
@@ -62,12 +61,8 @@ def report(num: int, name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid_run():
-    records: list[harness.RunRecord] = []
     t0 = time.perf_counter()
-    fit = run_scaling(
-        GRID, SEEDS_PER_N, EPSILON,
-        base_seed=1, memory_budget_bytes=BUDGET, records_out=records,
-    )
+    fit, records = run_scaling(GRID, SEEDS_PER_N, EPSILON, base_seed=1, memory_budget_bytes=BUDGET)
     elapsed = time.perf_counter() - t0
     return fit, records, elapsed
 

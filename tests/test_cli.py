@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from distgaps import construction, harness, nobonds
+from distgaps.canonical import default_k_max, empty_canonical_survey, survey_to_csv
 from distgaps.cli import main
 from distgaps.poisson import Seed
-from distgaps.spectrum import DistanceSpectrum, read_spectrum, write_spectrum
+from distgaps.spectrum import DistanceSpectrum, all_pair_distances, read_spectrum, write_spectrum
 
 
 def test_construct_and_spectrum_roundtrip(tmp_path, capsys):
@@ -170,10 +171,12 @@ def test_bad_point_file_is_config_error(tmp_path, capsys, bad_line):
     ["scaling", "--grid", "10000", "20000", "40000", "80000", "--seeds", "3",
      "--out", "{missing}/runs.csv"],
     ["construct", "--n", "20000", "--out", "{missing}/pts.txt"],
+    ["survey", "--n", "20000", "--out", "{missing}/survey.csv"],
+    ["survey", "--n", "20000", "--out", "{dir}"],
 ], ids=["spectrum-points-missing", "spectrum-points-dir", "spectrum-out-no-dir",
         "spectrum-dump-no-dir", "spectrum-dump-is-dir", "audit-missing", "audit-dir",
         "scaling-config-missing", "scaling-config-dir", "scaling-out-no-dir",
-        "construct-out-no-dir"])
+        "construct-out-no-dir", "survey-out-no-dir", "survey-out-is-dir"])
 def test_bad_path_fails_early(tmp_path, capsys, argv):
     # a missing file, a directory where a file belongs or a missing output
     # directory exits 2 before any work, naming the path
@@ -251,6 +254,47 @@ def test_scaling_command_small(tmp_path, capsys):
     assert rc == 0
     assert set(data) == {f.name for f in dataclasses.fields(harness.ScalingFit)} | {"config_hash"}
     assert len(out_csv.read_text().splitlines()) == 13  # header + 12 runs
+
+
+def test_survey_on_a_spilled_spectrum(tmp_path, capsys):
+    # 4,294,967 bytes (0.004 GiB) hold fewer than the m = 681,528 distances
+    # of n = 1e5, seed 1, so that spectrum is file-backed
+    def survey(budget):
+        out = tmp_path / f"survey_{budget}.csv"
+        assert main(["survey", "--n", "100000", "--memory-budget", str(budget),
+                     "--out", str(out)]) == 0
+        return json.loads(capsys.readouterr().out), out.read_text()
+
+    spilled = 4_294_967
+    summary, got = survey(spilled)
+    m = summary["m"]
+    assert m == summary["points"] * (summary["points"] - 1) // 2
+    assert 8 * m > 0.75 * spilled                # more than the budget's cap: spilled
+    assert summary["k_max"] == default_k_max(100_000)
+    assert survey(2 << 30) == (summary, got)     # in memory: the same summary and CSV
+
+    con = construction.assemble(100_000, 1e-3, Seed(1))
+    spec = all_pair_distances(con.points, memory_budget_bytes=2 << 30)
+    assert not isinstance(spec.values, np.memmap)
+    want = tmp_path / "direct.csv"
+    survey_to_csv(empty_canonical_survey(spec, 100_000, default_k_max(100_000)), str(want))
+    assert got == want.read_text()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-max", "41"], ["--k-max", "-1"], ["--n", "9999"], ["--n", "0"],
+    ["--n", "3000000", "--k-max", "40"],         # level-40 cell ids of D ~ 1e4 pass 2^53
+])
+def test_survey_checks_before_any_work(tmp_path, monkeypatch, capsys, flags):
+    def no_assemble(*args):
+        raise AssertionError("assemble ran")
+
+    monkeypatch.setattr(construction, "assemble", no_assemble)
+    out = tmp_path / "survey.csv"
+    assert main(["survey", "--n", "20000", "--out", str(out), *flags]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "configuration error" in err
+    assert not out.exists()
 
 
 def test_scaling_config_precedence(tmp_path, capsys):

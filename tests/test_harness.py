@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -186,12 +187,12 @@ def test_run_scaling_validation():
 
 def test_run_scaling_small_grid_reproducible():
     grid = [10**4, 2 * 10**4, 4 * 10**4, 8 * 10**4]
-    recs_a: list = []
-    fit_a = harness.run_scaling(grid, 3, 1e-3, base_seed=7, records_out=recs_a)
-    fit_b = harness.run_scaling(grid, 3, 1e-3, base_seed=7)
-    assert fit_a.slope == fit_b.slope
-    assert fit_a.r_squared == fit_b.r_squared
-    assert len(recs_a) == 12
+    fit_a, recs_a = harness.run_scaling(grid, 3, 1e-3, base_seed=7)
+    fit_b, recs_b = harness.run_scaling(grid, 3, 1e-3, base_seed=7)
+    assert fit_a == fit_b
+    assert [dataclasses.replace(r, elapsed_ms=0) for r in recs_a] == \
+        [dataclasses.replace(r, elapsed_ms=0) for r in recs_b]
+    assert [(r.n_param, r.seed) for r in recs_a] == [(n, 7 + s) for n in grid for s in range(3)]
     assert fit_a.n_grid == grid
     assert 0.0 <= fit_a.r_squared <= 1.0
     assert math.isfinite(fit_a.slope_vs_realized)
