@@ -23,29 +23,30 @@ k its search needs keep ldexp(fa, k) below 2^53, so floor(...) + 1 and the
 comparisons are exact.  A crossing gap needs only the binary exponents
 (frexp) of its end pieces 1 - fa and b - (ceil(b) - 1).
 
-The audit walks the spectrum in the consumer windows of ``spectrum`` and
-takes the squared gap sum of every window, zeros included, with the same
-``SquaredGapSum`` as ``gap_stats``, so both report the same sum to the last
-bit, and the largest gap from the same differences.  Per window, one mask
-selects the positive gaps inside a unit interval and each of their arrays
-is compressed once.  A crossing gap contains an integer, so there is at
-most one per integer below d_max; they are kept until the walk ends and
-witnessed in one call.  Every witness is counted by its level k (whole
-unit cells apart), so the witness sum is sum(count[k] * 4^-k) + units over
-exact products, rounded once at the end: it depends on neither window nor
-order.
+The audit is a fold of ``spectrum.walk``, so it reads the spectrum in the
+consumer windows of ``spectrum``.  It takes the squared gap sum of every
+window, zeros included, with the same ``SquaredGapSum`` as ``gap_stats``, so
+both report the same sum to the last bit, and the largest gap from the same
+differences.  Per window, one mask selects the positive gaps inside a unit
+interval and each of their arrays is compressed once.  A crossing gap
+contains an integer, so there is at most one per integer below d_max; they
+are kept until the walk ends and witnessed in one call.  Every witness is
+counted by its level k (whole unit cells apart), so the witness sum is
+sum(count[k] * 4^-k) + units over exact products, rounded once at the end:
+it depends on neither window nor order.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Generator, Iterable
 
 import numpy as np
 
 from .construction import DistanceClass, class_limits, nominal_diameter
 from .errors import AuditError, ConfigError
-from .spectrum import DistanceSpectrum, SquaredGapSum, iter_windows
+from .spectrum import DistanceSpectrum, SquaredGapSum, walk
 
 # witness levels: a gap of a value >= 1 is at least 2^-52 long, so k <= 53
 _LEVELS = 54
@@ -119,16 +120,10 @@ def _dyadic_sum(levels: np.ndarray, units: int) -> float:
                                        for k, c in enumerate(levels)])
 
 
-def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
-    """Certify gap_sum_sq <= 16 * witness_sum_sq over disjoint empty witnesses.
-
-    Every positive gap (d_i, d_{i+1}) contributes the canonical witness(es)
-    found inside it; containment in the open gap is verified explicitly, and
-    containment implies emptiness because consecutive spectrum values bound
-    the gap.  Crossing gaps are reported separately.
-    """
-    v = spectrum.values
-    if len(v) < 2:
+def witness_fold(spectrum: DistanceSpectrum) -> Generator:
+    """The witness audit of ``spectrum`` as a fold of its walk; see
+    ``audit_gap_witnesses``.  Its checks run before the first window."""
+    if spectrum.m < 2:
         raise ConfigError("need at least two distances to audit")
     if spectrum.d_min < 1.0:
         raise ConfigError(f"audit requires d_min >= 1, got {spectrum.d_min}")
@@ -138,7 +133,7 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
     levels = np.zeros(_LEVELS, dtype=np.int64)   # witnesses inside a unit interval, per level
     cross_a = [np.empty(0)]                      # crossing gaps, at most one per integer
     cross_b = [np.empty(0)]
-    for w in iter_windows(v):
+    while (w := (yield)) is not None:
         a, b = w[:-1], w[1:]
         g = b - a
         gap_sum.add(g)
@@ -171,12 +166,23 @@ def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
         max_gap=max_gap,
         witness_sum_sq=witness_sum_sq,
         holds=gap_sum.total <= 16.0 * witness_sum_sq,
-        gap_count=len(v) - 1,
+        gap_count=spectrum.m - 1,
         positive_gap_count=int(levels.sum()) + len(cross_g),
         crossing_count=len(cross_g),
         crossing_gap_sum_sq=cross_sum.total,
         crossing_witness_sum_sq=_dyadic_sum(cross_levels, cross_units),
     )
+
+
+def audit_gap_witnesses(spectrum: DistanceSpectrum) -> WitnessAudit:
+    """Certify gap_sum_sq <= 16 * witness_sum_sq over disjoint empty witnesses.
+
+    Every positive gap (d_i, d_{i+1}) contributes the canonical witness(es)
+    found inside it; containment in the open gap is verified explicitly, and
+    containment implies emptiness because consecutive spectrum values bound
+    the gap.  Crossing gaps are reported separately.
+    """
+    return walk(spectrum.values, witness_fold(spectrum))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +210,9 @@ def check_k_max(k_max: int, j_end: int) -> None:
         raise ConfigError("k_max too deep for this spectrum range (cell ids inexact)")
 
 
-def empty_canonical_survey(
-    spectrum: DistanceSpectrum, n: int, k_max: int
-) -> list[SurveyRow]:
-    """Count empty canonical intervals per (distance class, level).
-
-    At level k the canonical cells over all j tile [1, J_end) uniformly with
-    step 2^-k (integers are multiples of every such step), so empty-cell
-    counts are total cells minus occupied cells.  A unit interval with no
-    distances therefore contributes its full complement of cells at every
-    level without being enumerated.
-
-    Occupied cells come from one pass over each class's sorted values.  With
-    the exact cell ids c = floor(d * 2^k_max), the level-k cell of d is
-    c >> (k_max - k), so two adjacent values share a level-k cell unless
-    their ids differ in a bit at or above k_max - k.  Each adjacent pair
-    therefore first splits at level k_max - (top bit of the XOR of its ids),
-    at 0 if that is negative, and stays split at every finer level; equal
-    ids never split.  Occupied cells at level k are one plus the pairs that
-    split at a level <= k.
-    """
+def survey_fold(spectrum: DistanceSpectrum, n: int, k_max: int) -> Generator:
+    """The empty-cell survey of ``spectrum`` as a fold of its walk; see
+    ``empty_canonical_survey``.  Its checks run before the first window."""
     J_end = max(math.ceil(nominal_diameter(n)), math.floor(spectrum.d_max) + 1)
     check_k_max(k_max, J_end)
 
@@ -236,12 +225,34 @@ def empty_canonical_survey(
         # class is empty; extra-large starts after whichever ends later
         (DistanceClass.EXTRA_LARGE, max(j_mod_hi, j_large_hi) + 1, J_end - 1),
     ]
+    # a value's class is the number of class starts at or below it: 0 below
+    # 1, which no class surveys, then 1, 2, 3 (an empty class holds no
+    # value: it starts where the next class does, or above d_max)
+    starts = [float(ja) for _, ja, _ in ranges]
+    # pairs by the class of their upper value and the binary exponent e of
+    # their id XOR (top bit e - 1; e = 0 for equal ids), which is below 2^53
+    # and so exact as a float
+    by_exp = np.zeros((len(ranges) + 1, 54), dtype=np.int64)
+    first = bisect.bisect_right(starts, spectrum.d_min)
+    while (w := (yield)) is not None:
+        ids = np.floor(np.ldexp(w, k_max)).astype(np.int64)
+        _, e = np.frexp((ids[1:] ^ ids[:-1]).astype(float))
+        c = bisect.bisect_right(starts, w[-1])
+        if bisect.bisect_right(starts, w[0]) == c:      # the window lies in one class
+            by_exp[c] += np.bincount(e, minlength=54)
+        else:
+            for c, part in enumerate(np.split(e, np.searchsorted(w[1:], starts))):
+                by_exp[c] += np.bincount(part, minlength=54)
 
     rows: list[SurveyRow] = []
-    for cls, ja, jb in ranges:
-        # an empty class (jb < ja) has no units and an empty slice
-        i0, i1 = np.searchsorted(spectrum.values, [float(ja), float(jb + 1)])
-        occupied = _occupied_cells(spectrum.values[i0:i1], k_max)
+    for c, (cls, ja, jb) in enumerate(ranges, 1):
+        # the smallest value opens a cell; exponent e >= 1 splits at level
+        # max(k_max + 1 - e, 0)
+        first_split = [0] * (k_max + 1)
+        first_split[0] = int(first == c)
+        for e in range(1, 54):
+            first_split[max(k_max + 1 - e, 0)] += int(by_exp[c, e])
+        occupied = np.cumsum(first_split).tolist()
         units = max(jb - ja + 1, 0)
         for k in range(k_max + 1):
             empty = (units << k) - occupied[k]
@@ -249,22 +260,30 @@ def empty_canonical_survey(
     return rows
 
 
-def _occupied_cells(sorted_vals: np.ndarray, k_max: int) -> list[int]:
-    """Occupied level-k cells of sorted values below 2^(53 - k_max), for
-    k = 0..k_max, from the first-split level of each adjacent pair: the
-    first value's cell (none without values) plus the pairs split by k."""
-    # pairs by the binary exponent e of their id XOR (top bit e - 1; e = 0
-    # for equal ids), which is below 2^53 and so exact as a float
-    by_exp = np.zeros(54, dtype=np.int64)
-    for w in iter_windows(sorted_vals):
-        ids = np.floor(np.ldexp(w, k_max)).astype(np.int64)
-        _, e = np.frexp((ids[1:] ^ ids[:-1]).astype(float))
-        by_exp += np.bincount(e, minlength=54)
-    # exponent e >= 1 splits at level max(k_max + 1 - e, 0)
-    first_split = [0] * (k_max + 1)
-    for e in range(1, 54):
-        first_split[max(k_max + 1 - e, 0)] += int(by_exp[e])
-    return (min(len(sorted_vals), 1) + np.cumsum(first_split)).tolist()
+def empty_canonical_survey(
+    spectrum: DistanceSpectrum, n: int, k_max: int
+) -> list[SurveyRow]:
+    """Count empty canonical intervals per (distance class, level).
+
+    At level k the canonical cells over all j tile [1, J_end) uniformly with
+    step 2^-k (integers are multiples of every such step), so empty-cell
+    counts are total cells minus occupied cells.  A unit interval with no
+    distances therefore contributes its full complement of cells at every
+    level without being enumerated.
+
+    Occupied cells come from one walk over the sorted values.  With the
+    exact cell ids c = floor(d * 2^k_max), the level-k cell of d is
+    c >> (k_max - k), so two adjacent values share a level-k cell unless
+    their ids differ in a bit at or above k_max - k.  Each adjacent pair
+    therefore first splits at level k_max - (top bit of the XOR of its ids),
+    at 0 if that is negative, and stays split at every finer level; equal
+    ids never split.  A pair counts in the class of its upper value: a pair
+    across a class start differs in its integer part, so it splits at level
+    0 and opens the class's first occupied cell.  Occupied cells at level k
+    are the pairs of the class that split at a level <= k, plus one if the
+    class holds the smallest value.
+    """
+    return walk(spectrum.values, survey_fold(spectrum, n, k_max))[0]
 
 
 def survey_to_csv(rows: Iterable[SurveyRow], path: str) -> None:

@@ -25,16 +25,19 @@ def _add_common_budget(p: argparse.ArgumentParser) -> None:
                    help="spectrum memory budget in bytes")
 
 
-def _check_destination(path: str | None) -> None:
-    """Fail before any work when a file cannot be created at ``path``:
-    its directory is missing or it names a directory."""
-    if not path:
-        return
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ConfigError(f"cannot write {path}: no directory {parent}")
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
+def _check_destination(*paths: str | None) -> None:
+    """Fail before any work when a file cannot be created at one of the
+    given ``paths`` (its directory is missing or it names a directory), or
+    when two of them name the same file, which would keep only one output."""
+    given = [path for path in paths if path]
+    for path in given:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {path}: no directory {parent}")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    if len({os.path.realpath(path) for path in given}) < len(given):
+        raise ConfigError(f"cannot write {' and '.join(given)}: they name the same file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,11 +111,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _check_destination(args.out)
-    _check_destination(args.dump)
+    _check_destination(args.out, args.dump)
     pts, _, meta = construction.load_points(args.points_file)
     spec = spectrum_mod.all_pair_distances(pts, memory_budget_bytes=args.memory_budget)
-    gs = spectrum_mod.gap_stats(spec)
+    # gap statistics and the dump in one walk; the gap fold's check runs
+    # first, so a spectrum it rejects leaves no dump behind
+    folds = [spectrum_mod.gap_fold(spec.m)]
+    if args.dump:
+        folds.append(spectrum_mod.dump_fold(args.dump, spec.m))
+    gs = spectrum_mod.walk(spec.values, *folds)[0]
     header = "points,m,d_min,d_max,gap_sum_sq,max_gap"
     line = (f"{len(pts)},{spec.m},{spec.d_min!r},{spec.d_max!r},"
             f"{gs.gap_sum_sq!r},{gs.max_gap!r}")
@@ -122,8 +129,6 @@ def _cmd_spectrum(args) -> int:
     else:
         print(header)
         print(line)
-    if args.dump:
-        spectrum_mod.write_spectrum(spec, args.dump)
     return 0
 
 
@@ -135,8 +140,7 @@ def _cmd_scaling(args) -> int:
         "out_csv": args.out,
     }
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    _check_destination(cfg.out_csv)
-    _check_destination(cfg.out_json)
+    _check_destination(cfg.out_csv, cfg.out_json)
     fit, records = harness.run_scaling(
         cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,
         base_seed=cfg.base_seed,
@@ -205,8 +209,11 @@ def _cmd_janson(args) -> int:
 
 
 def _cmd_canonical_audit(args) -> int:
-    spec = spectrum_mod.read_spectrum(args.spectrum_file)
-    audit = canonical.audit_gap_witnesses(spec)
+    spec = spectrum_mod.map_spectrum(args.spectrum_file)
+    # the order check sees each window before the audit does, so a bad dump
+    # exits 2 rather than failing the audit
+    _, audit = spectrum_mod.walk(spec.values, spectrum_mod.order_fold(args.spectrum_file),
+                                 canonical.witness_fold(spec))
     print(json.dumps({
         "gap_sum_sq": audit.gap_sum_sq,
         "witness_sum_sq": audit.witness_sum_sq,

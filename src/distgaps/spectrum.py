@@ -24,7 +24,11 @@ is written without a pass.  A distance is a symmetric function of its two
 endpoints, so the sorted values depend on neither input order nor groups
 nor ranges.
 
-Every consumer walks the sorted values in windows of one private size,
+Every consumer but ``count_in_range``, a search, is a fold: a generator
+that takes the sorted values window by window, in order, and returns one
+result at the end.  One loop,
+``walk``, reads the values and feeds each window to every fold it is given,
+so one walk serves several consumers.  Windows have one private size,
 ``_WINDOW``, small enough that a window's temporaries stay in cache; no
 consumer takes a window size from the budget, so no result depends on it.
 The squared gap sum is one ``np.dot`` per window, accumulated across
@@ -46,7 +50,7 @@ import mmap
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -336,17 +340,49 @@ class SquaredGapSum:
             self.total = t
 
 
-def gap_stats(spectrum: DistanceSpectrum) -> GapStats:
-    v = spectrum.values
-    if len(v) < 2:
+def walk(values: np.ndarray, *folds: Generator) -> list:
+    """Feed every window of ``values`` to each fold in the order given and
+    return the folds' results, in that order.
+
+    A fold is a generator that checks its inputs before its first ``yield``,
+    takes each window from ``yield`` until it gets None, and returns its
+    result.  ``walk`` primes each fold, so the checks run before any window
+    is read and a fold that rejects one stops the walk before the folds after
+    it see that window.  A stopped walk closes every fold, so a fold's
+    ``with`` blocks exit then."""
+    try:
+        for fold in folds:
+            next(fold)
+        for w in iter_windows(values):
+            for fold in folds:
+                fold.send(w)
+        results = []
+        for fold in folds:
+            try:
+                fold.send(None)
+            except StopIteration as done:
+                results.append(done.value)
+        return results
+    finally:
+        for fold in folds:
+            fold.close()
+
+
+def gap_fold(m: int) -> Generator:
+    """Gap statistics of the m sorted values that a walk feeds in."""
+    if m < 2:
         raise ConfigError("need at least two distances for gap statistics")
     gap_sum = SquaredGapSum()
     max_gap = 0.0
-    for w in iter_windows(v):
+    while (w := (yield)) is not None:
         g = np.diff(w)
         gap_sum.add(g)
         max_gap = float(g.max(initial=max_gap))
-    return GapStats(gap_sum_sq=gap_sum.total, max_gap=max_gap, gap_count=len(v) - 1)
+    return GapStats(gap_sum_sq=gap_sum.total, max_gap=max_gap, gap_count=m - 1)
+
+
+def gap_stats(spectrum: DistanceSpectrum) -> GapStats:
+    return walk(spectrum.values, gap_fold(spectrum.m))[0]
 
 
 def count_in_range(spectrum: DistanceSpectrum, lo: float, hi: float) -> int:
@@ -371,19 +407,26 @@ def equal_spacing_lower_bound(diameter: float, m: int, d1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
+def dump_fold(path: str, m: int) -> Generator:
+    """Write the m values that a walk feeds in to a dump at ``path``."""
     with open(path, "wb") as fh:
-        fh.write(np.array([spectrum.m], dtype="<u8").tobytes())
-        for i, w in enumerate(iter_windows(spectrum.values)):
+        fh.write(np.array([m], dtype="<u8").tobytes())
+        skip = 0
+        while (w := (yield)) is not None:
             # windows after the first repeat the previous last value; the
             # rest is a view on little-endian hosts, with no copy
-            fh.write(memoryview(np.ascontiguousarray(w[min(i, 1):], dtype="<f8")))
+            fh.write(memoryview(np.ascontiguousarray(w[skip:], dtype="<f8")))
+            skip = 1
 
 
-def read_spectrum(path: str) -> DistanceSpectrum:
-    """Map a dump read-only, so reading it holds no copy of the values, and
-    check in one pass of windows that the values ascend and are finite: a
-    NaN fails the ordering test, so finite ends make every value finite."""
+def write_spectrum(spectrum: DistanceSpectrum, path: str) -> None:
+    walk(spectrum.values, dump_fold(path, spectrum.m))
+
+
+def map_spectrum(path: str) -> DistanceSpectrum:
+    """Map a dump read-only, so reading it holds no copy of the values, after
+    checking its count header and that its end values are finite.  The
+    values in between are checked by ``order_fold`` as a walk reads them."""
     with open_input(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 8:
@@ -393,9 +436,21 @@ def read_spectrum(path: str) -> DistanceSpectrum:
             raise ConfigError(f"spectrum file {path}: header says {count}, found {(size - 8) / 8:g}")
         # the mapping keeps its own reference to the file
         values = np.memmap(fh, dtype="<f8", mode="r", offset=8, shape=(count,))
-    for w in iter_windows(values):
-        if not (w[1:] >= w[:-1]).all():
-            raise ConfigError(f"spectrum file {path}: values are not ascending or hold a NaN")
     if count and not (math.isfinite(values[0]) and math.isfinite(values[-1])):
         raise ConfigError(f"spectrum file {path}: values are not finite")
     return DistanceSpectrum(values)
+
+
+def order_fold(path: str) -> Generator:
+    """Reject the dump at ``path`` unless the values that a walk feeds in
+    ascend: a NaN fails the test, so with finite ends every value is finite."""
+    while (w := (yield)) is not None:
+        if not (w[1:] >= w[:-1]).all():
+            raise ConfigError(f"spectrum file {path}: values are not ascending or hold a NaN")
+
+
+def read_spectrum(path: str) -> DistanceSpectrum:
+    """Map a dump and check it in one walk."""
+    spectrum = map_spectrum(path)
+    walk(spectrum.values, order_fold(path))
+    return spectrum

@@ -647,8 +647,16 @@ def _survey_cases(draw):
     if not vals:
         vals = [1.0]
     vals += draw(st.lists(st.sampled_from(vals), max_size=20))     # repeated values
-    window = draw(st.sampled_from([1, 2, 3, 7, 1 << 18]))
-    return n, k_max, np.sort(np.asarray(vals)), window
+    # values below 1, which no class surveys, before the first class
+    vals += draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=3))
+    vals = np.sort(np.asarray(vals))
+    # windows that put a class start or an integer on a seam: with window w
+    # the pair (vals[i - 1], vals[i]) is the last of one window at w = i + 1
+    # and the first of the next at w = i
+    steps = [i for i in range(1, len(vals)) if math.floor(vals[i - 1]) < math.floor(vals[i])]
+    seams = [w for i in steps for w in (i, i + 1)]
+    window = draw(st.sampled_from([1, 2, 3, 7, 1 << 18] + seams))
+    return n, k_max, vals, window
 
 
 @given(_survey_cases())

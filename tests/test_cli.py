@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from distgaps import construction, harness, nobonds
+from distgaps import construction, harness, nobonds, spectrum
 from distgaps.canonical import default_k_max, empty_canonical_survey, survey_to_csv
 from distgaps.cli import main
 from distgaps.poisson import Seed
@@ -75,8 +75,15 @@ def test_one_gap_sum_across_commands(tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [
     [1.5, 1.2, 3.0, 3.1], [1.5, 2.0, math.inf], [1.5, math.nan, 3.0],
-], ids=["unsorted", "inf", "nan"])
-def test_canonical_audit_rejects_bad_dump(tmp_path, capsys, values):
+    # past the first window of two gaps; the audit alone would print
+    # holds=false for either and exit 1
+    [30.0, 30.5, 31.0, 31.5, 1.5], [1.5, 2.0, 2.5, math.nan, 3.0, 3.5],
+    [0.5, 1.5, 2.0],
+], ids=["unsorted", "inf", "nan", "unsorted-late", "nan-late", "below-one"])
+def test_canonical_audit_rejects_bad_dump(tmp_path, capsys, monkeypatch, values):
+    # the order check and the audit share one walk: the check sees each
+    # window first, so a bad dump exits 2 wherever its fault lies
+    monkeypatch.setattr(spectrum, "_WINDOW", 2)
     dump = tmp_path / "spec.bin"
     write_spectrum(DistanceSpectrum(np.array(values)), str(dump))
     assert main(["canonical-audit", "--spectrum-file", str(dump)]) == 2
@@ -173,20 +180,39 @@ def test_bad_point_file_is_config_error(tmp_path, capsys, bad_line):
     ["construct", "--n", "20000", "--out", "{missing}/pts.txt"],
     ["survey", "--n", "20000", "--out", "{missing}/survey.csv"],
     ["survey", "--n", "20000", "--out", "{dir}"],
+    ["spectrum", "--points-file", "{points}", "--out", "{dir}/same", "--dump", "{dir}/./same"],
+    ["scaling", "--config", "{config}", "--out", "{dir}/runs.out"],
 ], ids=["spectrum-points-missing", "spectrum-points-dir", "spectrum-out-no-dir",
         "spectrum-dump-no-dir", "spectrum-dump-is-dir", "audit-missing", "audit-dir",
         "scaling-config-missing", "scaling-config-dir", "scaling-out-no-dir",
-        "construct-out-no-dir", "survey-out-no-dir", "survey-out-is-dir"])
+        "construct-out-no-dir", "survey-out-no-dir", "survey-out-is-dir",
+        "spectrum-out-is-dump", "scaling-out-is-json"])
 def test_bad_path_fails_early(tmp_path, capsys, argv):
-    # a missing file, a directory where a file belongs or a missing output
-    # directory exits 2 before any work, naming the path
+    # a missing file, a directory where a file belongs, a missing output
+    # directory or two outputs of one command in one file exits 2 before
+    # any work, naming the path, and writes nothing
     points = tmp_path / "pts.txt"
     points.write_text("0.0 0.0 rect\n3.0 0.0 rect\n0.0 4.0 circle\n")
-    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "points": str(points)}
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"out_json: {tmp_path / 'runs.out'}\n")
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "points": str(points),
+             "config": str(config)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "configuration error" in err and str(tmp_path) in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "pts.txt"]
+
+
+def test_spectrum_of_one_distance_writes_no_dump(tmp_path, capsys):
+    # gap statistics need two distances; their check runs before the dump
+    # fold opens its file
+    points, dump = tmp_path / "pts.txt", tmp_path / "spec.bin"
+    points.write_text("0.0 0.0 rect\n3.0 0.0 rect\n")
+    assert main(["spectrum", "--points-file", str(points), "--dump", str(dump)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least two distances" in err
+    assert not dump.exists()
 
 
 def test_budget_floor(tmp_path, capsys):
