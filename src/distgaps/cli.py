@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import canonical, construction, harness, nobonds, spectrum as spectrum_mod
-from .errors import ConfigError, DistgapsError, InvariantViolation
+from .errors import ConfigError, DistgapsError
 from .nobonds import BondSpec
 from .poisson import Seed
 from .regions import N_MIN, region_from_dict
@@ -58,14 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_budget(p)
 
     p = sub.add_parser("scaling", help="gap-sum scaling fit over an n grid")
-    p.add_argument("--grid", type=int, nargs="+")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--base-seed", type=int)
-    p.add_argument("--config", help="YAML config; flags override its values")
+    defaults = harness.HarnessConfig()
+    p.add_argument("--grid", type=int, nargs="+", default=defaults.n_grid)
+    p.add_argument("--seeds", type=int, default=defaults.seeds_per_n)
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--base-seed", type=int, default=defaults.base_seed)
     p.add_argument("--out", help="write per-run CSV records here")
-    _add_common_budget(p)
-    p.set_defaults(memory_budget=None)     # unset flags fall back to the config
+    _add_common_budget(p)               # DEFAULT_MEMORY_BUDGET, HarnessConfig's default too
 
     p = sub.add_parser("survey", help="empty canonical cells per distance class and level")
     p.add_argument("--n", type=int, required=True)
@@ -133,26 +132,19 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    cfg = harness.load_config(args.config) if args.config else harness.HarnessConfig()
-    flags = {
-        "n_grid": args.grid, "seeds_per_n": args.seeds, "epsilon": args.epsilon,
-        "base_seed": args.base_seed, "memory_budget_bytes": args.memory_budget,
-        "out_csv": args.out,
-    }
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    _check_destination(cfg.out_csv, cfg.out_json)
+    _check_destination(args.out)
+    cfg = harness.HarnessConfig(
+        n_grid=args.grid, seeds_per_n=args.seeds, epsilon=args.epsilon,
+        base_seed=args.base_seed, memory_budget_bytes=args.memory_budget,
+    )
     fit, records = harness.run_scaling(
         cfg.n_grid, cfg.seeds_per_n, cfg.epsilon,
         base_seed=cfg.base_seed,
         memory_budget_bytes=cfg.memory_budget_bytes,
     )
-    if cfg.out_csv:
-        harness.write_records_csv(records, cfg.out_csv)
-    result = json.dumps({**dataclasses.asdict(fit), "config_hash": cfg.config_hash()})
-    if cfg.out_json:
-        with open(cfg.out_json, "w") as fh:
-            fh.write(result + "\n")
-    print(result)
+    if args.out:
+        harness.write_records_csv(records, args.out)
+    print(json.dumps({**dataclasses.asdict(fit), "config_hash": cfg.config_hash()}))
     return 0
 
 
@@ -244,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantViolation, DistgapsError) as exc:
+    except DistgapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__, canonical
 from .construction import Construction, assemble
-from .errors import ConfigError, InvariantViolation, open_input
+from .errors import ConfigError, InvariantViolation
 from .poisson import Seed, as_seed
 from .spectrum import (
     DEFAULT_MEMORY_BUDGET,
@@ -75,53 +75,17 @@ class ScalingFit:
 
 @dataclass
 class HarnessConfig:
+    """The five settings that shape a run's results; ``config_hash`` hashes them."""
+
     n_grid: list[int] = field(default_factory=lambda: [100_000, 300_000, 1_000_000, 3_000_000])
     seeds_per_n: int = 3
     epsilon: float = 1e-3
     base_seed: int = 1
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-    out_csv: str | None = None
-    out_json: str | None = None
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_path(v) -> bool:
-    return v is None or isinstance(v, str)
-
-
-# HarnessConfig field annotation -> (what a YAML value must be, its check)
-_CONFIG_TYPES = {
-    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "str | None": ("a string or null", _is_path),
-}
-
-
-def load_config(path: str) -> HarnessConfig:
-    # imported here, its only use: pyyaml is a tenth of the package's import
-    # time, which every command but ``scaling --config`` would pay for nothing
-    import yaml
-    with open_input(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    types = {f.name: f.type for f in fields(HarnessConfig)}
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        what, ok = _CONFIG_TYPES[types[key]]
-        if not ok(value):
-            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-    return HarnessConfig(**data)
 
 
 def record_from_construction(
@@ -258,42 +222,12 @@ def record_to_csv_row(rec: RunRecord) -> list[str]:
     return out
 
 
-def _bool_cell(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise ValueError(s)
-    return s == "true"
-
-
-# a CSV cell back to a RunRecord field, by the field's annotation
-_FROM_CSV = {"int": int, "float": float, "bool": _bool_cell}
-
-
-def record_from_csv_row(row: Sequence[str]) -> RunRecord:
-    if len(row) != len(CSV_FIELDS):
-        raise ConfigError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-    vals = {}
-    for f, v in zip(fields(RunRecord), row):
-        try:
-            vals[f.name] = _FROM_CSV[f.type](v)
-        except ValueError:
-            raise ConfigError(f"column {f.name!r}: {v!r} is not a valid {f.type}") from None
-    return RunRecord(**vals)
-
-
 def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_FIELDS)
         for rec in records:
             w.writerow(record_to_csv_row(rec))
-
-
-def read_records_csv(path: str) -> list[RunRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != CSV_FIELDS:
-        raise ConfigError(f"{path} does not carry the run-record schema")
-    return [record_from_csv_row(r) for r in rows[1:]]
 
 
 def record_to_json(rec: RunRecord, config: HarnessConfig | None = None) -> str:

@@ -54,7 +54,7 @@ from typing import Generator, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, SpectrumSizeError, open_input
+from .errors import ConfigError, InvariantViolation, SpectrumSizeError, open_input
 
 DEFAULT_MEMORY_BUDGET = 1 << 30          # 1 GiB
 DEFAULT_HARD_CAP = 2_000_000_000
@@ -151,7 +151,9 @@ def all_pair_distances(
 
 
 def _sorted_range(x: np.ndarray, y: np.ndarray, lo: float, hi: float, count: int) -> np.ndarray:
-    """The ``count`` distances v with lo <= v < hi, in one pass, sorted."""
+    """The ``count`` distances v with lo <= v < hi, in one pass, sorted.
+    A pass that selects any other number (a pair lost or doubled) raises
+    InvariantViolation."""
     chunk = np.empty(count)
     pos = 0
     if lo == 0.0 and hi == math.inf:
@@ -162,9 +164,13 @@ def _sorted_range(x: np.ndarray, y: np.ndarray, lo: float, hi: float, count: int
     else:
         for part in _blocks(x, y):
             kept = _select(part, lo, hi)
-            chunk[pos:pos + len(kept)] = kept
-            pos += len(kept)
-    assert pos == count
+            end = pos + len(kept)
+            if end <= count:        # past the count, only count: the check below fails
+                chunk[pos:end] = kept
+            pos = end
+    if pos != count:
+        raise InvariantViolation(
+            f"a pass over [{lo!r}, {hi!r}) selected {pos} distances, not the {count} counted")
     chunk.sort()
     return chunk
 
@@ -447,10 +453,3 @@ def order_fold(path: str) -> Generator:
     while (w := (yield)) is not None:
         if not (w[1:] >= w[:-1]).all():
             raise ConfigError(f"spectrum file {path}: values are not ascending or hold a NaN")
-
-
-def read_spectrum(path: str) -> DistanceSpectrum:
-    """Map a dump and check it in one walk."""
-    spectrum = map_spectrum(path)
-    walk(spectrum.values, order_fold(path))
-    return spectrum

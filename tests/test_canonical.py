@@ -12,7 +12,7 @@ from distgaps import spectrum
 from distgaps.canonical import audit_gap_witnesses, default_k_max, empty_canonical_survey
 from distgaps.construction import DistanceClass, nominal_diameter
 from distgaps.errors import AuditError, ConfigError
-from distgaps.spectrum import DistanceSpectrum, gap_stats, read_spectrum, write_spectrum
+from distgaps.spectrum import DistanceSpectrum, gap_stats, map_spectrum, write_spectrum
 
 
 def spectrum_of(values) -> DistanceSpectrum:
@@ -276,7 +276,7 @@ def test_audit_window_invariance(rng_session, monkeypatch, tmp_path):
     monkeypatch.setattr(spectrum, "_RELEASE_STRIDE", mmap.PAGESIZE // 8)
     path = tmp_path / "spec.bin"
     write_spectrum(sp, str(path))
-    assert audit_gap_witnesses(read_spectrum(str(path))) == b
+    assert audit_gap_witnesses(map_spectrum(str(path))) == b
 
 
 @pytest.mark.parametrize("window", [1, 2, 7, 311, 1 << 15])
@@ -538,7 +538,7 @@ def test_survey_classes_partition_units_at_small_n(tmp_path):
     n = 10**3
     sp = spectrum_of([1.5, 2.5])
     write_spectrum(sp, str(tmp_path / "s.bin"))
-    mapped = read_spectrum(str(tmp_path / "s.bin"))
+    mapped = map_spectrum(str(tmp_path / "s.bin"))
     units = max(math.ceil(nominal_diameter(n)), 3) - 1
     for k_max in (0, 3):
         rows = empty_canonical_survey(sp, n, k_max)

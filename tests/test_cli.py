@@ -13,7 +13,7 @@ from distgaps import construction, harness, nobonds, spectrum
 from distgaps.canonical import default_k_max, empty_canonical_survey, survey_to_csv
 from distgaps.cli import main
 from distgaps.poisson import Seed
-from distgaps.spectrum import DistanceSpectrum, all_pair_distances, read_spectrum, write_spectrum
+from distgaps.spectrum import DistanceSpectrum, all_pair_distances, map_spectrum, write_spectrum
 
 
 def test_construct_and_spectrum_roundtrip(tmp_path, capsys):
@@ -37,7 +37,7 @@ def test_construct_and_spectrum_roundtrip(tmp_path, capsys):
     assert rc == 0
     header, line = csv_out.read_text().splitlines()
     assert header.startswith("points,m,")
-    sp = read_spectrum(str(dump))
+    sp = map_spectrum(str(dump))
     assert sp.m == rec["realized_points"] * (rec["realized_points"] - 1) // 2
     # the dump must agree with a fresh in-process spectrum of the same seed
     con = construction.assemble(20000, 1e-3, Seed(3))
@@ -173,35 +173,28 @@ def test_bad_point_file_is_config_error(tmp_path, capsys, bad_line):
     ["spectrum", "--points-file", "{points}", "--dump", "{dir}"],
     ["canonical-audit", "--spectrum-file", "{missing}/spec.bin"],
     ["canonical-audit", "--spectrum-file", "{dir}"],
-    ["scaling", "--config", "{missing}/cfg.yaml"],
-    ["scaling", "--config", "{dir}"],
     ["scaling", "--grid", "10000", "20000", "40000", "80000", "--seeds", "3",
      "--out", "{missing}/runs.csv"],
     ["construct", "--n", "20000", "--out", "{missing}/pts.txt"],
     ["survey", "--n", "20000", "--out", "{missing}/survey.csv"],
     ["survey", "--n", "20000", "--out", "{dir}"],
     ["spectrum", "--points-file", "{points}", "--out", "{dir}/same", "--dump", "{dir}/./same"],
-    ["scaling", "--config", "{config}", "--out", "{dir}/runs.out"],
 ], ids=["spectrum-points-missing", "spectrum-points-dir", "spectrum-out-no-dir",
         "spectrum-dump-no-dir", "spectrum-dump-is-dir", "audit-missing", "audit-dir",
-        "scaling-config-missing", "scaling-config-dir", "scaling-out-no-dir",
-        "construct-out-no-dir", "survey-out-no-dir", "survey-out-is-dir",
-        "spectrum-out-is-dump", "scaling-out-is-json"])
+        "scaling-out-no-dir", "construct-out-no-dir", "survey-out-no-dir", "survey-out-is-dir",
+        "spectrum-out-is-dump"])
 def test_bad_path_fails_early(tmp_path, capsys, argv):
     # a missing file, a directory where a file belongs, a missing output
     # directory or two outputs of one command in one file exits 2 before
     # any work, naming the path, and writes nothing
     points = tmp_path / "pts.txt"
     points.write_text("0.0 0.0 rect\n3.0 0.0 rect\n0.0 4.0 circle\n")
-    config = tmp_path / "cfg.yaml"
-    config.write_text(f"out_json: {tmp_path / 'runs.out'}\n")
-    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "points": str(points),
-             "config": str(config)}
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "points": str(points)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "configuration error" in err and str(tmp_path) in err
-    assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "pts.txt"]
+    assert os.listdir(tmp_path) == ["pts.txt"]
 
 
 def test_spectrum_of_one_distance_writes_no_dump(tmp_path, capsys):
@@ -323,68 +316,40 @@ def test_survey_checks_before_any_work(tmp_path, monkeypatch, capsys, flags):
     assert not out.exists()
 
 
-def test_scaling_config_precedence(tmp_path, capsys):
-    # a flag beats the YAML value, which beats the HarnessConfig default
-    out_csv, out_json = tmp_path / "runs.csv", tmp_path / "fit.json"
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
-        "n_grid: [10000, 20000, 40000, 80000]\n"
-        "seeds_per_n: 4\n"
-        "epsilon: 0.002\n"
-        "base_seed: 7\n"
-        "memory_budget_bytes: 1024\n"
-        f"out_csv: {out_csv}\n"
-        f"out_json: {out_json}\n"
-    )
-    # the YAML budget is below the 4 MiB floor, so it must be the one in force
-    assert main(["scaling", "--config", str(cfg)]) == 2
+def test_scaling_flags_are_its_config(tmp_path, capsys):
+    grid = ["--grid", "10000", "20000", "30000", "40000"]
+    # a budget below the 4 MiB floor exits 2, so the flag is the one in force
+    assert main(["scaling", *grid, "--memory-budget", "1024"]) == 2
     capsys.readouterr()
 
-    def run(seeds):
-        rc = main(["scaling", "--config", str(cfg), "--seeds", seeds,
-                   "--memory-budget", str(64 << 20)])
-        printed = json.loads(capsys.readouterr().out.strip())
+    def run(seeds, out):
+        rc = main(["scaling", *grid, "--seeds", seeds, "--epsilon", "0.002", "--base-seed", "7",
+                   "--memory-budget", str(64 << 20), "--out", str(out)])
         assert rc == 0
-        assert json.loads(out_json.read_text()) == printed
-        return printed
+        return json.loads(capsys.readouterr().out.strip())
 
-    # the hash is the merged config's: the --seeds flag changes it
-    other = run("4")["config_hash"]
-    printed = run("3")
+    # the hash covers the settings that shape results: --seeds changes it,
+    # equal flags keep it and the --out destination is not one of them
+    other = run("4", tmp_path / "four.csv")["config_hash"]
+    printed = run("3", tmp_path / "runs.csv")
     assert printed["config_hash"] != other
-    assert printed["n_grid"] == [10000, 20000, 40000, 80000]
+    assert run("3", tmp_path / "again.csv")["config_hash"] == printed["config_hash"]
+    assert printed["n_grid"] == [10000, 20000, 30000, 40000]
     assert printed["seeds_per_n"] == 3
-    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]
     assert len(rows) == 12
     assert {float(r[1]) for r in rows} == {0.002}
     assert {int(r[2]) for r in rows} == {7, 8, 9}
 
 
-@pytest.mark.parametrize("line", [
-    "memory_budget_bytes: 1G",
-    "n_grid: 10000",
-    "n_grid: [10000, 2.5e4]",
-    "seeds_per_n: 3.5",
-    "base_seed: true",
-    "epsilon: 1e-3",           # YAML 1.1 reads this as a string
-    "out_csv: [a, b]",
-])
-def test_scaling_config_wrong_type_is_config_error(tmp_path, capsys, line):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(line + "\n")
-    assert main(["scaling", "--config", str(cfg)]) == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
 def test_import_leaves_scipy_out():
-    # scipy is a test dependency only; the library and CLI must not load it,
-    # nor pyyaml until a config file is read
+    # scipy is a test dependency only; the library and CLI must not load it
     import distgaps
 
     src = os.path.dirname(os.path.dirname(distgaps.__file__))
     code = ("import sys, distgaps.cli, distgaps.harness; "
-            "print('scipy' in sys.modules, 'yaml' in sys.modules)")
+            "print('scipy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,13 +12,8 @@ from distgaps import harness
 from distgaps.errors import ConfigError, InvariantViolation
 from distgaps.harness import (
     CSV_FIELDS,
-    HarnessConfig,
     RunRecord,
     fit_exponent,
-    load_config,
-    read_records_csv,
-    record_from_csv_row,
-    record_to_csv_row,
     record_to_json,
     run_construct,
     write_records_csv,
@@ -117,41 +113,28 @@ README_RECORD_HEADER = (
 
 
 def test_csv_roundtrip(tmp_path):
+    # the run-record CSV as any reader sees it: the README's header, floats
+    # that float() gives back bit for bit, true/false and int() integers
     rec = run_construct(2 * 10**4, 1e-3, Seed(5))
-    row = record_to_csv_row(rec)
-    back = record_from_csv_row(row)
-    assert back == rec
-
+    recs = [rec, dataclasses.replace(rec, gap_bound_holds=False)]
     path = tmp_path / "records.csv"
-    write_records_csv([rec, rec], str(path))
-    got = read_records_csv(str(path))
-    assert got == [rec, rec]
-    header = path.read_text().splitlines()[0]
-    assert header == README_RECORD_HEADER
+    write_records_csv(recs, str(path))
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert ",".join(reader.fieldnames) == README_RECORD_HEADER
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     assert f"`{README_RECORD_HEADER}`" in readme
-
-
-@pytest.mark.parametrize("column, cell", [
-    ("gap_bound_holds", "True"),
-    ("gap_bound_holds", "yes"),
-    ("gap_bound_holds", "abc"),
-    ("realized_points", "abc"),
-    ("realized_points", "1.5"),
-    ("gap_sum_sq", "abc"),
-])
-def test_csv_row_rejects_malformed_cell(column, cell):
-    rec = RunRecord(
-        n_param=10**4, epsilon=1e-3, seed=1, realized_points=10, diameter_nominal=10.0,
-        d_min=1.0, d_max=9.0, gap_sum_sq=1.0, max_gap=0.5, count_top_interval=0,
-        gap_bound_holds=True, deleted_fraction_rect=0.0, deleted_fraction_lobes=0.0,
-        elapsed_ms=1,
-    )
-    row = record_to_csv_row(rec)
-    assert record_from_csv_row(row) == rec
-    row[CSV_FIELDS.index(column)] = cell
-    with pytest.raises(ConfigError, match=column):
-        record_from_csv_row(row)
+    assert len(rows) == len(recs)
+    for row, want in zip(rows, recs):
+        for f in dataclasses.fields(RunRecord):
+            cell, value = row[f.name], getattr(want, f.name)
+            if f.type == "float":
+                assert float(cell).hex() == value.hex()
+            elif f.type == "bool":
+                assert cell == ("true" if value else "false")
+            else:
+                assert f.type == "int" and int(cell) == value
 
 
 def test_json_record_fields():
@@ -161,19 +144,6 @@ def test_json_record_fields():
         assert f in data
     assert data["package_version"]
     assert len(data["config_hash"]) == 12
-
-
-def test_config_yaml_load_and_hash(tmp_path):
-    path = tmp_path / "cfg.yaml"
-    path.write_text("n_grid: [20000, 40000]\nseeds_per_n: 3\nepsilon: 0.001\n")
-    cfg = load_config(str(path))
-    assert cfg.n_grid == [20000, 40000]
-    assert cfg.seeds_per_n == 3
-    assert cfg.config_hash() != HarnessConfig().config_hash()
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("unknown_key: 1\n")
-    with pytest.raises(ConfigError):
-        load_config(str(bad))
 
 
 def test_run_scaling_validation():

@@ -13,14 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from distgaps import spectrum
 from distgaps.cli import main
-from distgaps.errors import ConfigError, SpectrumSizeError
+from distgaps.errors import ConfigError, InvariantViolation, SpectrumSizeError
 from distgaps.spectrum import (
     DistanceSpectrum,
     all_pair_distances,
     count_in_range,
     equal_spacing_lower_bound,
     gap_stats,
-    read_spectrum,
+    map_spectrum,
     write_spectrum,
 )
 from tests.conftest import naive_spectrum
@@ -230,7 +230,7 @@ audit = canonical.audit_gap_witnesses(sp)
 canonical.empty_canonical_survey(sp, 1500, canonical.default_k_max(1500))
 path = os.path.join(sys.argv[1], "spec.bin")
 spectrum.write_spectrum(sp, path)
-assert canonical.audit_gap_witnesses(spectrum.read_spectrum(path)) == audit
+assert canonical.audit_gap_witnesses(spectrum.map_spectrum(path)) == audit
 print(peak_mb() - engine)
 """
 
@@ -331,11 +331,42 @@ def test_dump_roundtrip(tmp_path, rng_session):
     sp = all_pair_distances(pts)
     path = tmp_path / "spec.bin"
     write_spectrum(sp, str(path))
-    back = read_spectrum(str(path))
+    back = map_spectrum(str(path))
     assert np.array_equal(np.asarray(back.values), sp.values)
     # header: little-endian uint64 count
     raw = path.read_bytes()
     assert int.from_bytes(raw[:8], "little") == sp.m
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda kept: kept[:-1],                         # one pair lost
+    lambda kept: np.append(kept, kept[-1]),         # one pair doubled
+], ids=["lost", "doubled"])
+def test_miscounted_range_pass_is_invariant_violation(tmp_path, rng_session, monkeypatch,
+                                                      capsys, mutate):
+    # a range pass of a spilled spectrum that selects a pair more or less
+    # than the histogram counted raises, with or without python -O, and
+    # `distgaps spectrum` exits 1
+    pts = rng_session.uniform(0.0, 50.0, size=(900, 2))
+    points = tmp_path / "pts.txt"
+    points.write_text("".join(f"{x!r} {y!r} rect\n" for x, y in pts.tolist()))
+    select, mutated = spectrum._select, []
+
+    def select_once_wrong(part, lo, hi):
+        kept = select(part, lo, hi)
+        if not mutated and len(kept) and (lo, hi) != (0.0, math.inf):
+            mutated.append((lo, hi))
+            return mutate(kept)
+        return kept
+
+    monkeypatch.setattr(spectrum, "_select", select_once_wrong)
+    with pytest.raises(InvariantViolation):
+        all_pair_distances(pts, memory_budget_bytes=1 << 22)
+    assert mutated
+    mutated.clear()
+    assert main(["spectrum", "--points-file", str(points), "--memory-budget", str(1 << 22)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and mutated
 
 
 @pytest.mark.parametrize("window", [1, 7, 1 << 13, 1 << 15])
@@ -372,4 +403,4 @@ def test_truncated_dump_is_config_error(tmp_path):
     for cut in (len(raw) - 8, len(raw) - 3, 5):
         path.write_bytes(raw[:cut])
         with pytest.raises(ConfigError):
-            read_spectrum(str(path))
+            map_spectrum(str(path))
